@@ -36,7 +36,15 @@ void BM_Fft1dForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Fft1dForward)->Arg(256)->Arg(1024)->Arg(4096)->Arg(1000);
+BENCHMARK(BM_Fft1dForward)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(192)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(1000);
 
 void BM_Fft1dBatched(benchmark::State& state) {
   const std::size_t n = 1024, batch = 64;
@@ -54,6 +62,25 @@ void BM_Fft1dBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(n * batch));
 }
 BENCHMARK(BM_Fft1dBatched);
+
+// One z stage of a pencil64 rank: 64-point lines at stride 2048 (a 32x64
+// x-y plane), neighbouring lines adjacent in memory.
+void BM_Fft1dStridedZ(benchmark::State& state) {
+  const std::size_t n = 64, lines = 2048;
+  Fft1d<double> plan(n);
+  Xoshiro256 rng(3);
+  std::vector<std::complex<double>> x(n * lines);
+  fill_uniform_complex(rng, x);
+  for (auto _ : state) {
+    plan.transform_strided(x.data(), static_cast<std::ptrdiff_t>(lines),
+                           lines, 1, FftDirection::kForward);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * lines));
+}
+BENCHMARK(BM_Fft1dStridedZ);
 
 std::shared_ptr<Codec> make_codec(int which) {
   switch (which) {

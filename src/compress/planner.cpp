@@ -30,7 +30,9 @@ CodecPtr plan_codec(double e_tol, CodecFamily family) {
       // Prefer hardware-width casts when they meet the tolerance: FP16
       // keeps 10 mantissa bits, FP32 keeps 23. Between those widths the
       // packed bit-trim transmits exactly the bits the tolerance needs.
-      if (m <= 10) return std::make_shared<CastFp16Codec>();
+      // FP16 is block-scaled: spectral values routinely exceed its 65504
+      // maximum, and the unscaled cast would turn them into inf.
+      if (m <= 10) return std::make_shared<CastFp16Codec>(/*scaled=*/true);
       if (m > 10 && m <= 12) return std::make_shared<CastFp32Codec>();
       if (m <= 23 && packed_bits_for_mantissa(m) >= 32) {
         // Trimming would not beat the FP32 cast; use the cast.

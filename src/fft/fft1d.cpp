@@ -1,8 +1,11 @@
 #include "fft/fft1d.hpp"
 
 #include <cmath>
+#include <type_traits>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
+#include "fft/stockham.hpp"
 
 namespace lossyfft {
 
@@ -23,19 +26,58 @@ std::size_t next_pow2(std::size_t n) {
 
 namespace {
 
-// Factor a 7-smooth n into radices, largest first (slightly fewer twiddle
-// multiplies than smallest-first and keeps recursion depth low).
-std::vector<std::size_t> factorize_smooth(std::size_t n) {
-  std::vector<std::size_t> factors;
-  for (std::size_t p : {std::size_t{7}, std::size_t{5}, std::size_t{3},
-                        std::size_t{2}}) {
-    while (n % p == 0) {
-      factors.push_back(p);
-      n /= p;
+// Pass radices for a 7-smooth n: radix-4 while it divides, one radix-2 for
+// an odd power of two, then 3, 5 and 7. (Radix-8 passes measured no
+// faster on the BM_Fft1dStridedZ row.)
+std::vector<int> stockham_radices(std::size_t n) {
+  std::vector<int> radices;
+  for (int r : {4, 2, 3, 5, 7}) {
+    for (const auto ur = static_cast<std::size_t>(r); n % ur == 0; n /= ur) {
+      radices.push_back(r);
     }
   }
   LFFT_ASSERT(n == 1);
-  return factors;
+  return radices;
+}
+
+// Stockham passes and per-pass twiddles for a 7-smooth `len`.
+template <typename T>
+void plan_passes(fft_detail::LanePlan<T>& plan, std::size_t len) {
+  plan.len = len;
+  std::size_t m = 1;
+  for (int r : stockham_radices(len)) {
+    const auto ur = static_cast<std::size_t>(r);
+    fft_detail::StockhamPass ps;
+    ps.radix = r;
+    ps.m = m;
+    ps.l = len / (m * ur);
+    ps.tw = plan.tw_re.size();
+    const std::size_t span = ur * ps.l;  // w_{r*l}.
+    for (std::size_t j = 0; j < ps.l; ++j) {
+      for (std::size_t p = 1; p < ur; ++p) {
+        const double ang = -2.0 * M_PI * static_cast<double>(j * p % span) /
+                           static_cast<double>(span);
+        plan.tw_re.push_back(static_cast<T>(std::cos(ang)));
+        plan.tw_im.push_back(static_cast<T>(std::sin(ang)));
+      }
+    }
+    plan.passes.push_back(ps);
+    m *= ur;
+  }
+}
+
+// The kernel build for the active SIMD tier. AVX-512 hosts run the AVX2
+// build: the lane count is fixed, and every tier gives the same bits.
+template <typename T>
+fft_detail::LineKernel<T> line_kernel() {
+  const fft_detail::LineKernels k = simd_level() == SimdLevel::kScalar
+                                        ? fft_detail::scalar_line_kernels()
+                                        : fft_detail::avx2_line_kernels();
+  if constexpr (std::is_same_v<T, float>) {
+    return k.f32;
+  } else {
+    return k.f64;
+  }
 }
 
 }  // namespace
@@ -43,55 +85,31 @@ std::vector<std::size_t> factorize_smooth(std::size_t n) {
 template <typename T>
 struct Fft1d<T>::Impl {
   using Complex = std::complex<T>;
-  using ComplexD = std::complex<double>;
   using Workspace = typename Fft1d<T>::Workspace;
 
-  std::size_t n = 0;
-  bool use_bluestein = false;
+  fft_detail::LanePlan<T> plan;
 
-  // Mixed-radix state.
-  std::vector<std::size_t> factors;
-  // Full twiddle table: w[k] = exp(-2*pi*i*k/n), k in [0, n). Twiddles for
-  // every recursion level are strided reads of this single table.
-  std::vector<Complex> twiddle;
-
-  // Bluestein state.
-  std::size_t m = 0;                     // Convolution FFT size (power of 2).
-  std::unique_ptr<Fft1d<T>> inner;       // Size-m smooth plan.
-  std::vector<Complex> chirp;            // a_k = exp(-i*pi*k^2/n), k in [0, n).
-  std::vector<Complex> chirp_fft;        // FFT of the zero-padded conj chirp.
-
-  // Workspace for the non-workspace entry points; everything above is
-  // immutable after construction, so this is the only per-plan mutable
-  // state (and why those entry points are not thread-safe).
+  // Workspace for the non-workspace entry points; the plan is immutable
+  // after construction, so this is the only per-plan mutable state (and
+  // why those entry points are not thread-safe).
   mutable Workspace own_ws;
 
-  explicit Impl(std::size_t size) : n(size) {
+  explicit Impl(std::size_t n) {
     LFFT_REQUIRE(n >= 1, "FFT size must be >= 1");
     if (is_smooth_7(n)) {
-      init_smooth();
+      plan_passes(plan, n);
+      plan.n = n;
     } else {
-      use_bluestein = true;
-      init_bluestein();
+      init_bluestein(n);
     }
     ensure(own_ws);
   }
 
-  void init_smooth() {
-    factors = factorize_smooth(n);
-    twiddle.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double ang = -2.0 * M_PI * static_cast<double>(k) /
-                         static_cast<double>(n);
-      twiddle[k] = Complex(static_cast<T>(std::cos(ang)),
-                           static_cast<T>(std::sin(ang)));
-    }
-  }
-
-  void init_bluestein() {
-    m = next_pow2(2 * n - 1);
-    inner = std::make_unique<Fft1d<T>>(m);
-    chirp.resize(n);
+  // Bluestein's chirp-z over a power-of-two Stockham length m >= 2n - 1.
+  void init_bluestein(std::size_t n) {
+    const std::size_t m = next_pow2(2 * n - 1);
+    plan_passes(plan, m);
+    std::vector<T> chirp_re(n), chirp_im(n);
     std::vector<Complex> b(m, Complex{});
     for (std::size_t k = 0; k < n; ++k) {
       // Angle pi*k^2/n, with k^2 reduced mod 2n to keep the argument small
@@ -99,132 +117,42 @@ struct Fft1d<T>::Impl {
       const std::size_t k2 = (k * k) % (2 * n);
       const double ang = M_PI * static_cast<double>(k2) /
                          static_cast<double>(n);
-      chirp[k] = Complex(static_cast<T>(std::cos(ang)),
-                         static_cast<T>(-std::sin(ang)));
-      const Complex c = std::conj(chirp[k]);
+      chirp_re[k] = static_cast<T>(std::cos(ang));
+      chirp_im[k] = static_cast<T>(-std::sin(ang));
+      const Complex c(chirp_re[k], -chirp_im[k]);
       b[k] = c;
       if (k != 0) b[m - k] = c;  // Circular symmetry of the chirp filter.
     }
-    inner->transform(b.data(), FftDirection::kForward);
-    chirp_fft = std::move(b);
+    // FFT of the filter through the plain length-m plan (no chirp yet).
+    plan.n = m;
+    std::vector<T> work(plan.work_size());
+    line_kernel<T>()(plan, b.data(), 1, 1, 0, false, work.data());
+    // Fold the inner inverse's 1/m (exact: m is a power of two).
+    const T inv_m = T(1) / static_cast<T>(m);
+    plan.filt_re.resize(m);
+    plan.filt_im.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      plan.filt_re[k] = b[k].real() * inv_m;
+      plan.filt_im[k] = b[k].imag() * inv_m;
+    }
+    plan.chirp_re = std::move(chirp_re);
+    plan.chirp_im = std::move(chirp_im);
+    plan.n = n;
   }
 
   /// Size `ws` for this plan. Idempotent and cheap once sized, so every
   /// entry point can call it; workspaces never shrink.
   void ensure(Workspace& ws) const {
-    if (ws.stage.size() < n) ws.stage.resize(n);
-    if (use_bluestein) {
-      if (ws.work.size() < m) ws.work.resize(m);
-      if (!ws.inner) ws.inner = std::make_unique<Workspace>();
-      inner->impl_->ensure(*ws.inner);
-    } else if (ws.scratch.size() < n) {
-      ws.scratch.resize(n);
-    }
+    if (ws.lanes.size() < plan.work_size()) ws.lanes.resize(plan.work_size());
   }
 
-  // Recursive decimation-in-time step. Computes the DFT of the `sub_n`
-  // points found at in[0], in[stride], ... into out[0..sub_n) (contiguous).
-  // `mult` = n / sub_n maps sub-transform twiddle indices into the full
-  // table: w_{sub_n}^t == twiddle[t * mult].
-  void dit(std::size_t sub_n, const Complex* in, std::size_t stride,
-           Complex* out, std::size_t mult, std::size_t depth) const {
-    if (sub_n == 1) {
-      out[0] = in[0];
-      return;
-    }
-    const std::size_t r = factors[depth];
-    const std::size_t msub = sub_n / r;
-
-    for (std::size_t q = 0; q < r; ++q) {
-      dit(msub, in + q * stride, stride * r, out + q * msub, mult * r,
-          depth + 1);
-    }
-
-    // Combine: X[j + p*msub] = sum_q (Y_q[j] * w_n^{q*j*mult}) * w_r^{q*p}.
-    // For fixed j the reads and writes cover the same index set, so the
-    // combine is done in place through a size-r temporary.
-    Complex t[7];
-    for (std::size_t j = 0; j < msub; ++j) {
-      for (std::size_t q = 0; q < r; ++q) {
-        const std::size_t tw = (q * j * mult) % n;
-        t[q] = out[q * msub + j] * twiddle[tw];
-      }
-      const std::size_t wr_step = n / r;  // w_r^1 == twiddle[n/r].
-      for (std::size_t p = 0; p < r; ++p) {
-        Complex acc = t[0];
-        for (std::size_t q = 1; q < r; ++q) {
-          acc += t[q] * twiddle[(q * p * wr_step) % n];
-        }
-        out[j + p * msub] = acc;
-      }
-    }
-  }
-
-  void forward_contiguous(Complex* data, Workspace& ws) const {
-    if (n == 1) return;
-    if (use_bluestein) {
-      forward_bluestein(data, ws);
-      return;
-    }
-    if ((n & (n - 1)) == 0) {
-      forward_stockham(data, ws.scratch.data());
-      return;
-    }
-    Complex* scratch = ws.scratch.data();
-    for (std::size_t i = 0; i < n; ++i) scratch[i] = data[i];
-    dit(n, scratch, 1, data, 1, 0);
-  }
-
-  /// Forward transform with the inverse expressed through it:
-  /// inverse(x) = conj(forward(conj(x))) / n, so the twiddle tables stay
-  /// forward-only.
-  void run(Complex* data, FftDirection dir, Workspace& ws) const {
-    if (dir == FftDirection::kForward) {
-      forward_contiguous(data, ws);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) data[i] = std::conj(data[i]);
-    forward_contiguous(data, ws);
-    const T inv_n = T(1) / static_cast<T>(n);
-    for (std::size_t i = 0; i < n; ++i) data[i] = std::conj(data[i]) * inv_n;
-  }
-
-  // Iterative radix-2 Stockham autosort for power-of-two sizes: no bit
-  // reversal, unit-stride inner loops, ping-pong between data and scratch.
-  void forward_stockham(Complex* data, Complex* scratch) const {
-    Complex* x = data;
-    Complex* y = scratch;
-    for (std::size_t l = n / 2, m = 1; l >= 1; l >>= 1, m <<= 1) {
-      const std::size_t tw_step = n / (2 * l);  // w_{2l}^j == twiddle[j*step].
-      for (std::size_t j = 0; j < l; ++j) {
-        const Complex wj = twiddle[j * tw_step];
-        Complex* xa = x + m * j;
-        Complex* xb = x + m * (j + l);
-        Complex* ya = y + 2 * m * j;
-        Complex* yb = ya + m;
-        for (std::size_t k = 0; k < m; ++k) {
-          const Complex a = xa[k];
-          const Complex b = xb[k];
-          ya[k] = a + b;
-          yb[k] = wj * (a - b);
-        }
-      }
-      std::swap(x, y);
-    }
-    if (x != data) {
-      for (std::size_t i = 0; i < n; ++i) data[i] = x[i];
-    }
-  }
-
-  void forward_bluestein(Complex* data, Workspace& ws) const {
-    // y = IFFT(FFT(x .* chirp) .* chirp_fft) .* chirp, classic chirp-z.
-    Complex* work = ws.work.data();
-    for (std::size_t k = 0; k < n; ++k) work[k] = data[k] * chirp[k];
-    for (std::size_t k = n; k < m; ++k) work[k] = Complex{};
-    inner->impl_->run(work, FftDirection::kForward, *ws.inner);
-    for (std::size_t k = 0; k < m; ++k) work[k] *= chirp_fft[k];
-    inner->impl_->run(work, FftDirection::kInverse, *ws.inner);
-    for (std::size_t k = 0; k < n; ++k) data[k] = work[k] * chirp[k];
+  void run(Complex* data, std::ptrdiff_t stride, std::size_t batch,
+           std::ptrdiff_t batch_stride, FftDirection dir,
+           Workspace& ws) const {
+    LFFT_REQUIRE(data != nullptr, "null data");
+    ensure(ws);
+    line_kernel<T>()(plan, data, stride, batch, batch_stride,
+                     dir == FftDirection::kInverse, ws.lanes.data());
   }
 };
 
@@ -255,9 +183,7 @@ void Fft1d<T>::transform(Complex* data, FftDirection dir) const {
 template <typename T>
 void Fft1d<T>::transform(Complex* data, FftDirection dir,
                          Workspace& ws) const {
-  LFFT_REQUIRE(data != nullptr, "null data");
-  impl_->ensure(ws);
-  impl_->run(data, dir, ws);
+  impl_->run(data, 1, 1, 0, dir, ws);
 }
 
 template <typename T>
@@ -273,23 +199,7 @@ void Fft1d<T>::transform_strided(Complex* data, std::ptrdiff_t stride,
                                  std::size_t batch,
                                  std::ptrdiff_t batch_stride, FftDirection dir,
                                  Workspace& ws) const {
-  LFFT_REQUIRE(data != nullptr, "null data");
-  impl_->ensure(ws);
-  for (std::size_t b = 0; b < batch; ++b) {
-    Complex* base = data + static_cast<std::ptrdiff_t>(b) * batch_stride;
-    if (stride == 1) {
-      impl_->run(base, dir, ws);
-      continue;
-    }
-    Complex* stage = ws.stage.data();
-    for (std::size_t i = 0; i < n_; ++i) {
-      stage[i] = base[static_cast<std::ptrdiff_t>(i) * stride];
-    }
-    impl_->run(stage, dir, ws);
-    for (std::size_t i = 0; i < n_; ++i) {
-      base[static_cast<std::ptrdiff_t>(i) * stride] = stage[i];
-    }
-  }
+  impl_->run(data, stride, batch, batch_stride, dir, ws);
 }
 
 template <typename T>

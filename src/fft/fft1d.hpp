@@ -1,9 +1,23 @@
 // 1-D complex-to-complex FFT, templated on the real scalar type.
 //
 // This is the node-local compute kernel of the distributed 3-D FFT (the role
-// cuFFT plays in heFFTe). Sizes with prime factors {2, 3, 5, 7} run through
-// a mixed-radix decimation-in-time Cooley-Tukey; any other size falls back
-// to Bluestein's chirp-z algorithm, so every n >= 1 is supported.
+// cuFFT plays in heFFTe). One algorithm per size class: sizes with prime
+// factors {2, 3, 5, 7} run an iterative Stockham autosort with hard-coded
+// radix-2/3/4/5/7 butterflies and per-pass twiddle tables; any other size
+// runs Bluestein's chirp-z on top of a power-of-two Stockham plan, so every
+// n >= 1 is supported.
+//
+// Lane batching: the kernel transforms 4 (double) or 8 (float) lines at
+// once, one line per lane of a 256-bit vector, so transform_strided is SIMD
+// across its batch. When the batch's lines are adjacent in memory
+// (batch_stride == 1, the y and z pencil stages) staging a block is one
+// contiguous load per element. The kernel is one source built per
+// cpu_dispatch tier (baseline and -mavx2), selected by simd_level().
+//
+// Determinism: every lane runs exactly the scalar operation sequence, and
+// the kernel TUs are built with -ffp-contract=off and without FMA. A line's
+// output bits therefore do not depend on its batch, its lane slot, the
+// caller's sharding or the SIMD tier.
 //
 // A plan precomputes twiddles (immutable after construction) plus a default
 // scratch workspace. The default-workspace entry points are NOT thread-safe;
@@ -44,17 +58,14 @@ class Fft1d {
 
   std::size_t size() const { return n_; }
 
-  /// All call-local mutable state of one transform: DIT/Stockham scratch,
-  /// the strided-batch staging line, and (for Bluestein sizes) the
-  /// convolution buffer plus the inner plan's workspace. One plan + one
-  /// Workspace per thread = concurrent transforms over one twiddle table.
-  /// Buffers are (re)sized lazily, so a default-constructed Workspace also
-  /// works; make_workspace() pre-sizes to keep the hot path allocation-free.
+  /// All call-local mutable state of one transform: the lane staging of
+  /// one block of lines (two ping-pong buffers of n, or Bluestein's padded
+  /// length, elements by 4 or 8 lanes). One plan + one Workspace per
+  /// thread = concurrent transforms over one twiddle table. The buffer is
+  /// (re)sized lazily, so a default-constructed Workspace also works;
+  /// make_workspace() pre-sizes it to keep the hot path allocation-free.
   struct Workspace {
-    std::vector<Complex> scratch;      // Size n: DIT gather / Stockham.
-    std::vector<Complex> stage;        // Size n: strided gather/scatter.
-    std::vector<Complex> work;         // Size m: Bluestein convolution.
-    std::unique_ptr<Workspace> inner;  // Bluestein inner plan's workspace.
+    std::vector<T> lanes;
   };
 
   /// A workspace pre-sized for this plan (including nested Bluestein).
@@ -70,7 +81,8 @@ class Fft1d {
 
   /// Batched strided transform: `batch` transforms, the b-th starting at
   /// data + b*batch_stride, with consecutive transform elements separated by
-  /// `stride`. Used by the 3-D FFT to run pencils without repacking.
+  /// `stride`. Used by the 3-D FFT to run pencils without repacking; each
+  /// line's result is bitwise the one transform() gives it alone.
   /// Uses the plan's own workspace: not thread-safe.
   void transform_strided(Complex* data, std::ptrdiff_t stride,
                          std::size_t batch, std::ptrdiff_t batch_stride,

@@ -533,7 +533,7 @@ TEST(Planner, LooseToleranceBuysMoreCompression) {
   const auto loose = plan_codec(1e-2, CodecFamily::kTruncation);
   const auto tight = plan_codec(1e-12, CodecFamily::kTruncation);
   EXPECT_GT(loose->nominal_rate(), tight->nominal_rate());
-  EXPECT_EQ(loose->name(), "fp64->fp16");
+  EXPECT_EQ(loose->name(), "fp64->fp16(scaled)");
 }
 
 TEST(Planner, BelowFp64RoundoffFallsBackToIdentity) {

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fft/fft1d.hpp"
@@ -13,11 +15,13 @@ namespace {
 
 using C = std::complex<double>;
 
-double rel_err(const std::vector<C>& a, const std::vector<C>& b) {
+template <typename T>
+double rel_err(const std::vector<std::complex<T>>& a,
+               const std::vector<std::complex<T>>& b) {
   double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    num += std::norm(a[i] - b[i]);
-    den += std::norm(b[i]);
+    num += std::norm(std::complex<double>(a[i]) - std::complex<double>(b[i]));
+    den += std::norm(std::complex<double>(b[i]));
   }
   return den > 0 ? std::sqrt(num / den) : std::sqrt(num);
 }
@@ -131,17 +135,35 @@ TEST_P(FftSizeSweep, InverseRoundTrip) {
   EXPECT_LT(rel_err(x, orig), 1e-12) << "n=" << n;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, FftSizeSweep,
-    ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15,
-                                   16, 18, 20, 21, 25, 27, 32, 35, 36, 48, 49,
-                                   60, 64, 81, 100, 105, 125, 128, 210, 243,
-                                   256, 343, 512,
-                                   // Primes and prime-tainted sizes: Bluestein.
-                                   11, 13, 17, 19, 23, 29, 31, 37, 41, 53, 59,
-                                   61, 67, 71, 73, 79, 83, 89, 97, 101, 127,
-                                   131, 251, 257, 22, 26, 33, 39, 55, 121, 169,
-                                   143, 187));
+// Every n in 1..512 (Stockham for the 7-smooth sizes, Bluestein for the
+// rest), plus larger smooth and power-of-two sizes.
+std::vector<std::size_t> sweep_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 512; ++n) sizes.push_back(n);
+  for (std::size_t n : {1000, 1680, 2048, 3072, 4096}) sizes.push_back(n);
+  return sizes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeSweep,
+                         ::testing::ValuesIn(sweep_sizes()));
+
+TEST(Fft1d, FloatMatchesNaiveDft) {
+  for (std::size_t n : {1, 2, 7, 11, 48, 64, 100, 192, 257, 1000}) {
+    Fft1d<float> plan(n);
+    Xoshiro256 rng(300 + n);
+    std::vector<std::complex<float>> x(n);
+    for (auto& v : x) {
+      v = {static_cast<float>(rng.uniform(-1, 1)),
+           static_cast<float>(rng.uniform(-1, 1))};
+    }
+    const auto want = naive_dft(x, FftDirection::kForward);
+    auto back = x;
+    plan.transform(x.data(), FftDirection::kForward);
+    EXPECT_LT(rel_err(x, want), 1e-5) << "n=" << n;
+    plan.transform(x.data(), FftDirection::kInverse);
+    EXPECT_LT(rel_err(x, back), 1e-5) << "n=" << n;
+  }
+}
 
 TEST(Fft1d, LargeSmoothSizeAccuracy) {
   const std::size_t n = 3 * 5 * 7 * 16;  // 1680.
@@ -230,6 +252,115 @@ TEST(Fft1d, MoveTransfersPlan) {
   const auto want = naive_dft(x, FftDirection::kForward);
   b.transform(x.data(), FftDirection::kForward);
   EXPECT_LT(rel_err(x, want), 1e-12);
+}
+
+// Fill `x` with uniform values in [-1, 1) (gaps between lines included).
+template <typename T>
+void fill_random(std::vector<std::complex<T>>& x, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  for (auto& v : x) {
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  }
+}
+
+template <typename T>
+bool same_bits(const std::vector<std::complex<T>>& a,
+               const std::vector<std::complex<T>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+// Each line of one transform_strided call must be bitwise the line run
+// alone through transform(), and elements between lines stay untouched.
+// Batches 1..17 cover partial and multiple lane blocks at both lane counts
+// (4 doubles, 8 floats). "Separate" lines follow one another (the x pencil
+// stage); "adjacent" lines are neighbours in memory, batch_stride 1 (the y
+// and z stages).
+template <typename T>
+void expect_batch_invariant(std::size_t n) {
+  using Cx = std::complex<T>;
+  Fft1d<T> plan(n);
+  std::vector<Cx> line(n);
+  for (const FftDirection dir :
+       {FftDirection::kForward, FftDirection::kInverse}) {
+    for (const std::size_t s : {1, 7, 64}) {
+      for (const bool adjacent : {false, true}) {
+        for (std::size_t batch = 1; batch <= 17; ++batch) {
+          const std::size_t stride = adjacent ? s * batch : s;
+          const std::size_t bstride = adjacent ? 1 : s * n;
+          std::vector<Cx> data((batch - 1) * bstride + (n - 1) * stride + 1);
+          fill_random(data, n * 1000 + batch);
+          auto want = data;
+          plan.transform_strided(data.data(),
+                                 static_cast<std::ptrdiff_t>(stride), batch,
+                                 static_cast<std::ptrdiff_t>(bstride), dir);
+          for (std::size_t b = 0; b < batch; ++b) {
+            for (std::size_t i = 0; i < n; ++i) {
+              line[i] = want[b * bstride + i * stride];
+            }
+            plan.transform(line.data(), dir);
+            for (std::size_t i = 0; i < n; ++i) {
+              want[b * bstride + i * stride] = line[i];
+            }
+          }
+          EXPECT_TRUE(same_bits(data, want))
+              << "n=" << n << " stride=" << stride << " batch=" << batch
+              << (adjacent ? " adjacent" : " separate")
+              << (dir == FftDirection::kForward ? " forward" : " inverse");
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft1dBatch, LinesBitIdenticalToSingleTransforms) {
+  for (std::size_t n : {1, 2, 11, 48, 60, 64}) {
+    expect_batch_invariant<double>(n);
+    expect_batch_invariant<float>(n);
+  }
+}
+
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) : prev_(set_simd_level(level)) {}
+  ~ScopedSimdLevel() { set_simd_level(prev_); }
+
+ private:
+  SimdLevel prev_;
+};
+
+// The scalar-tier kernel build and the detected tier's build must agree
+// bit for bit, on full and partial lane blocks, in both directions.
+template <typename T>
+void expect_tiers_identical(std::size_t n) {
+  Fft1d<T> plan(n);
+  const std::size_t batch = 11;
+  for (const FftDirection dir :
+       {FftDirection::kForward, FftDirection::kInverse}) {
+    std::vector<std::complex<T>> scalar(n * batch);
+    fill_random(scalar, n);
+    auto detected = scalar;
+    {
+      ScopedSimdLevel level(SimdLevel::kScalar);
+      plan.transform_strided(scalar.data(),
+                             static_cast<std::ptrdiff_t>(batch), batch, 1,
+                             dir);
+    }
+    plan.transform_strided(detected.data(),
+                           static_cast<std::ptrdiff_t>(batch), batch, 1, dir);
+    EXPECT_TRUE(same_bits(scalar, detected))
+        << "n=" << n << " tier=" << simd_level_name();
+  }
+}
+
+TEST(Fft1dSimd, ScalarTierBitIdenticalToDetected) {
+  if (detected_simd_level() == SimdLevel::kScalar) {
+    GTEST_SKIP() << "no SIMD level available in this build/host";
+  }
+  for (std::size_t n : {1, 2, 3, 5, 7, 11, 48, 64, 100, 105, 343, 1000}) {
+    expect_tiers_identical<double>(n);
+    expect_tiers_identical<float>(n);
+  }
 }
 
 }  // namespace

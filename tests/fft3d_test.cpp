@@ -229,6 +229,34 @@ TEST(Fft3d, ToleranceConstructorMeetsRequestedAccuracy) {
   });
 }
 
+// Loose tolerances plan the FP16 cast. Spectral values outgrow FP16's
+// 65504 at modest grids (the DC bin of unit-mean data is the point count),
+// so the planned cast must be the block-scaled one: the roundtrip stays
+// finite and within bound instead of silently returning NaN.
+TEST(Fft3d, ToleranceConstructorSurvivesFp16Overflow) {
+  struct Case {
+    std::array<int, 3> n;
+    int ranks;
+    double amplitude;  // Input = amplitude * (1 + uniform noise in [-1, 1]).
+  };
+  const double e_tol = 1e-3;
+  for (const Case& c : {Case{{48, 48, 48}, 4, 1.0},
+                        Case{{16, 16, 16}, 2, 100.0}}) {
+    run_ranks(c.ranks, [&](Comm& comm) {
+      Fft3d<double> fft(comm, c.n, e_tol);
+      auto in = local_field<double>(fft.inbox(), 8);
+      for (auto& v : in) v = c.amplitude * (1.0 + v);
+      std::vector<std::complex<double>> spec(fft.local_count()),
+          back(fft.local_count());
+      fft.forward(in, spec);
+      fft.backward(spec, back);
+      const double err = rel_l2_error<double>(comm, back, in);
+      EXPECT_TRUE(std::isfinite(err)) << c.n[0] << "^3";
+      EXPECT_LT(err, 20 * e_tol) << c.n[0] << "^3";
+    });
+  }
+}
+
 TEST(Fft3d, CompressionReducesWireVolume) {
   run_ranks(4, [](Comm& comm) {
     const std::array<int, 3> n{8, 8, 8};

@@ -10,7 +10,8 @@
 # LOSSYFFT_SIMD dispatch override through auto/scalar/avx2/avx512 so the
 # soak exercises every kernel tier the host supports (an unsupported
 # level warns once and falls back — still a valid run of the best
-# supported tier).
+# supported tier): the codec kernels, and the 1-D FFT kernel through
+# fft1d_test's batch and cross-tier identity suites (fuzz label).
 #
 # Serving mode (`--serving`): each iteration instead exports a fresh
 # LOSSYFFT_SERVE_SEED and runs the `serving-soak` workflow preset, which
