@@ -7,6 +7,7 @@
 
 #include <complex>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/cpu_dispatch.hpp"
@@ -140,15 +141,39 @@ BENCHMARK(BM_Decompress)->DenseRange(0, 6);
 // "<codec> <level>" so recorded JSONs stay self-describing. Rows above
 // the detected level are skipped (not silently renamed or rerun at a
 // lower tier) so a JSON recorded on a lesser host cannot mislabel rows.
+// Inputs are uniform noise, except codec 6: zfpx-acc on a smooth field,
+// the regime the slab exchanges feed it (label suffix "smooth").
+constexpr int kSmoothRow = 6;
+
 std::shared_ptr<Codec> make_dispatched_codec(int which) {
   switch (which) {
     case 0: return std::make_shared<CastFp32Codec>();
     case 1: return std::make_shared<BitTrimCodec>(20);  // 32-bit packed words
     case 2: return std::make_shared<BitTrimCodec>(40);  // 52-bit generic pack
     case 3: return std::make_shared<Zfpx1dCodec>(16);
-    case 4: return std::make_shared<ZfpxAccuracyCodec>(1e-6);
+    case 4:
+    case kSmoothRow: return std::make_shared<ZfpxAccuracyCodec>(1e-6);
     default: return std::make_shared<SzqCodec>(1e-6);
   }
+}
+
+// Input for a per-level row: 2^log2n values, uniform in [-1, 1) or (for
+// the smooth row) a blurred 3-D random field of about unit scale.
+std::vector<double> simd_row_input(int which, int log2n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  if (which == kSmoothRow) {
+    const int nx = 1 << ((log2n + 2) / 3), ny = 1 << ((log2n + 1) / 3),
+              nz = 1 << (log2n / 3);
+    return make_smooth_field3d(rng, nx, ny, nz);
+  }
+  std::vector<double> in(std::size_t{1} << log2n);
+  fill_uniform(rng, in);
+  return in;
+}
+
+std::string simd_row_label(int which, const Codec& codec) {
+  return codec.name() + " " + simd_level_name() +
+         (which == kSmoothRow ? " smooth" : "");
 }
 
 bool enter_simd_row(benchmark::State& state, SimdLevel* prev) {
@@ -164,11 +189,11 @@ bool enter_simd_row(benchmark::State& state, SimdLevel* prev) {
 void BM_CompressSimd(benchmark::State& state) {
   SimdLevel prev;
   if (!enter_simd_row(state, &prev)) return;
-  const auto codec = make_dispatched_codec(static_cast<int>(state.range(0)));
-  const std::size_t n = std::size_t{1} << state.range(2);
-  Xoshiro256 rng(7);
-  std::vector<double> in(n);
-  fill_uniform(rng, in);
+  const int which = static_cast<int>(state.range(0));
+  const auto codec = make_dispatched_codec(which);
+  const auto in =
+      simd_row_input(which, static_cast<int>(state.range(2)), 7);
+  const std::size_t n = in.size();
   std::vector<std::byte> wire(codec->max_compressed_bytes(n));
   for (auto _ : state) {
     const std::size_t used = codec->compress(in, wire);
@@ -176,20 +201,21 @@ void BM_CompressSimd(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * 8));
-  state.SetLabel(codec->name() + " " + simd_level_name());
+  state.SetLabel(simd_row_label(which, *codec));
   set_simd_level(prev);
 }
 BENCHMARK(BM_CompressSimd)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}, {12, 16, 20}});
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, kSmoothRow}, {0, 1, 2}, {12, 16, 20}});
 
 void BM_DecompressSimd(benchmark::State& state) {
   SimdLevel prev;
   if (!enter_simd_row(state, &prev)) return;
-  const auto codec = make_dispatched_codec(static_cast<int>(state.range(0)));
-  const std::size_t n = std::size_t{1} << state.range(2);
-  Xoshiro256 rng(8);
-  std::vector<double> in(n), out(n);
-  fill_uniform(rng, in);
+  const int which = static_cast<int>(state.range(0));
+  const auto codec = make_dispatched_codec(which);
+  const auto in =
+      simd_row_input(which, static_cast<int>(state.range(2)), 8);
+  const std::size_t n = in.size();
+  std::vector<double> out(n);
   std::vector<std::byte> wire(codec->max_compressed_bytes(n));
   const std::size_t used = codec->compress(in, wire);
   for (auto _ : state) {
@@ -198,11 +224,11 @@ void BM_DecompressSimd(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * 8));
-  state.SetLabel(codec->name() + " " + simd_level_name());
+  state.SetLabel(simd_row_label(which, *codec));
   set_simd_level(prev);
 }
 BENCHMARK(BM_DecompressSimd)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}, {12, 16, 20}});
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, kSmoothRow}, {0, 1, 2}, {12, 16, 20}});
 
 // Sharded cast/trim kernels at 1/2/4 total workers (caller included). At
 // one worker the ParallelCodec runs the plain serial kernel, so the

@@ -18,31 +18,36 @@ class BitWriter {
   explicit BitWriter(std::span<std::byte> out) : out_(out) {}
 
   /// Append the low `nbits` bits of `v` (LSB first). nbits in [0, 64].
-  /// Byte-chunked: a 12..64-bit value costs 2..9 byte operations instead
-  /// of one pass per bit — the difference between the bit-packing codecs
-  /// being memory-bound and being ALU-bound.
+  /// Word-at-a-time: the partial byte at the cursor is merged with `v`
+  /// and written back as one unaligned 64-bit store (plus a ninth byte
+  /// when the field straddles it), so a put costs the same for 1 bit as
+  /// for 64. The store also zero-fills bytes past the field, which keeps
+  /// every byte the stream touches initialized; the next put overwrites
+  /// them. Within 8 bytes of the buffer end the byte loop takes over, so
+  /// nothing outside `out` is ever written.
   void put(std::uint64_t v, int nbits) {
     LFFT_ASSERT(nbits >= 0 && nbits <= 64);
     if (nbits == 0) return;
     if (nbits < 64) v &= (std::uint64_t{1} << nbits) - 1;
-    int done = 0;
-    while (done < nbits) {
-      const std::size_t byte = pos_ >> 3;
-      LFFT_ASSERT(byte < out_.size());
-      const int bit = static_cast<int>(pos_ & 7);
-      const int take = std::min(8 - bit, nbits - done);
-      // The window past `take` (bits of the *next* byte) falls off the
-      // top of the 8-bit mask; `v` is pre-masked so nothing stray enters
-      // from above nbits.
-      const auto chunk = static_cast<unsigned>((v >> done) & 0xffu);
-      if (bit == 0) {
-        out_[byte] = std::byte(chunk);
-      } else {
-        out_[byte] |= std::byte((chunk << bit) & 0xffu);
-      }
-      pos_ += static_cast<std::size_t>(take);
-      done += take;
+    const std::size_t byte = pos_ >> 3;
+    const int bit = static_cast<int>(pos_ & 7);
+    LFFT_ASSERT(((pos_ + static_cast<std::size_t>(nbits) + 7) >> 3) <=
+                out_.size());
+    if (byte + 8 <= out_.size()) {
+      // Only a partly written byte is read back: a fresh one may not be
+      // initialized yet.
+      const std::uint64_t keep =
+          bit != 0 ? std::to_integer<std::uint64_t>(out_[byte]) &
+                         ((std::uint64_t{1} << bit) - 1)
+                   : 0;
+      const std::uint64_t w = keep | (v << bit);  // little-endian host
+      std::memcpy(out_.data() + byte, &w, 8);
+      // The bounds assert above covers the ninth byte when it is needed.
+      if (bit + nbits > 64) out_[byte + 8] = std::byte(v >> (64 - bit));
+      pos_ += static_cast<std::size_t>(nbits);
+      return;
     }
+    put_tail(v, nbits);
   }
 
   void put_bit(bool b) {
@@ -61,6 +66,26 @@ class BitWriter {
   std::size_t byte_count() const { return (pos_ + 7) >> 3; }
 
  private:
+  // Byte-at-a-time put for the last 8 bytes of the buffer.
+  void put_tail(std::uint64_t v, int nbits) {
+    int done = 0;
+    while (done < nbits) {
+      const std::size_t byte = pos_ >> 3;
+      const int bit = static_cast<int>(pos_ & 7);
+      const int take = std::min(8 - bit, nbits - done);
+      // Bits past `take` fall off the top of the 8-bit mask; `v` is
+      // pre-masked so nothing stray enters from above nbits.
+      const auto chunk = static_cast<unsigned>((v >> done) & 0xffu);
+      if (bit == 0) {
+        out_[byte] = std::byte(chunk);
+      } else {
+        out_[byte] |= std::byte((chunk << bit) & 0xffu);
+      }
+      pos_ += static_cast<std::size_t>(take);
+      done += take;
+    }
+  }
+
   std::span<std::byte> out_;
   std::size_t pos_ = 0;
 };

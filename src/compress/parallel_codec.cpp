@@ -130,9 +130,12 @@ void ParallelCodec::decompress(std::span<const std::byte> in,
   for (std::size_t s = 0; s < ns; ++s) {
     std::uint64_t bytes = 0;
     std::memcpy(&bytes, in.data() + 8 + 8 * s, 8);
+    // Checked per entry against the room left, so a lying entry cannot
+    // wrap the prefix sum back into range.
+    LFFT_REQUIRE(bytes <= in.size() - off[s],
+                 "parallel codec: truncated payload");
     off[s + 1] = off[s] + bytes;
   }
-  LFFT_REQUIRE(off[ns] <= in.size(), "parallel codec: truncated payload");
   pool_->parallel_for(
       out.size(), g,
       [&](std::size_t begin, std::size_t end) {

@@ -63,7 +63,9 @@ inline void framed_decompress(const Codec& c, std::span<const std::byte> in,
     const std::size_t m = std::min(g, out.size() - s * g);
     std::uint64_t bytes = 0;
     std::memcpy(&bytes, in.data() + 8 + 8 * s, 8);
-    LFFT_REQUIRE(pos + bytes <= in.size(), "shard frame: truncated payload");
+    // pos <= in.size() here; comparing against the room left keeps a lying
+    // directory entry near 2^64 from wrapping past the check.
+    LFFT_REQUIRE(bytes <= in.size() - pos, "shard frame: truncated payload");
     c.decompress_shard(in.subspan(pos, bytes), out.subspan(s * g, m));
     pos += bytes;
   }

@@ -3,14 +3,16 @@
 // Each table holds function pointers to the loops that dominate codec
 // time: the zfpx block transform + bit-plane group-test coder, the BitTrim
 // pack/unpack, the fp64<->fp32 casts, and the szq packed-index unpack.
-// Three builds of every kernel exist — the scalar reference (defined
+// Up to three builds of each kernel exist — the scalar reference (defined
 // beside the reference codec in zfpx.cpp / truncate.cpp / szq.cpp), an
 // AVX2 build in the matching *_simd.cpp TU, and an AVX-512 build in
-// *_simd512.cpp — and the accessor picks one from the active SimdLevel on
-// every call, so set_simd_level() takes effect immediately. All builds
-// produce bit-identical streams: the wire format is frozen (plans, the
-// fuzz suite and the tuner cache all depend on it), which is pinned by the
-// compress_test SimdIdentity cross-level matrix.
+// *_simd512.cpp where one measured faster (trim only; the zfpx and szq
+// avx512 tables reuse their AVX2 kernels) — and the accessor picks one
+// from the active SimdLevel on every call, so set_simd_level() takes
+// effect immediately. All builds produce bit-identical streams: the wire
+// format is frozen (plans, the fuzz suite and the tuner cache all depend
+// on it), which is pinned by the compress_test SimdIdentity cross-level
+// matrix.
 #pragma once
 
 #include <cstddef>

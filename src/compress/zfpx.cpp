@@ -1,7 +1,10 @@
 #include "compress/zfpx.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -29,16 +32,24 @@ void fwd_lift4(std::int64_t* p, std::size_t stride) {
   p[3 * stride] = h1;
 }
 
+// The inverse runs on decoded (possibly hostile) planes, so its adds wrap
+// instead of overflowing; >> stays arithmetic on the signed view. Blocks
+// an encoder produced never wrap, so this is the exact inverse there.
 void inv_lift4(std::int64_t* p, std::size_t stride) {
-  const std::int64_t ll = p[0], hh = p[stride];
-  const std::int64_t h0 = p[2 * stride], h1 = p[3 * stride];
-  const std::int64_t l1 = ll - (hh >> 1), l0 = l1 + hh;
-  const std::int64_t b = l0 - (h0 >> 1), a = b + h0;
-  const std::int64_t d = l1 - (h1 >> 1), c = d + h1;
-  p[0] = a;
-  p[stride] = b;
-  p[2 * stride] = c;
-  p[3 * stride] = d;
+  const auto sra1 = [](std::uint64_t x) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(x) >> 1);
+  };
+  const auto ll = static_cast<std::uint64_t>(p[0]);
+  const auto hh = static_cast<std::uint64_t>(p[stride]);
+  const auto h0 = static_cast<std::uint64_t>(p[2 * stride]);
+  const auto h1 = static_cast<std::uint64_t>(p[3 * stride]);
+  const std::uint64_t l1 = ll - sra1(hh), l0 = l1 + hh;
+  const std::uint64_t b = l0 - sra1(h0), a = b + h0;
+  const std::uint64_t d = l1 - sra1(h1), c = d + h1;
+  p[0] = static_cast<std::int64_t>(a);
+  p[stride] = static_cast<std::int64_t>(b);
+  p[2 * stride] = static_cast<std::int64_t>(c);
+  p[3 * stride] = static_cast<std::int64_t>(d);
 }
 
 std::uint64_t int_to_negabinary(std::int64_t x) {
@@ -51,8 +62,6 @@ std::int64_t negabinary_to_int(std::uint64_t u) {
   return static_cast<std::int64_t>((u ^ kMask) - kMask);
 }
 
-namespace {
-
 // Quantized magnitudes are bounded by 2^55; after at most 6 lifting levels
 // of <= 2x growth plus the negabinary mapping, no bit above this plane can
 // be set.
@@ -63,7 +72,7 @@ constexpr int kTopPlane = 61;
 // prefix of coefficients already seen significant; planes are encoded as a
 // verbatim prefix of n_sig bits followed by group-tested runs.
 void encode_planes(const std::uint64_t* u, int size, int budget,
-                   BitWriter& bw, int k_min = 0) {
+                   BitWriter& bw, int k_min) {
   int n_sig = 0;
   for (int k = kTopPlane; k >= k_min && budget > 0; --k) {
     const int m = std::min(n_sig, budget);
@@ -94,7 +103,7 @@ void encode_planes(const std::uint64_t* u, int size, int budget,
 }
 
 void decode_planes(std::uint64_t* u, int size, int budget, BitReader& br,
-                   int k_min = 0) {
+                   int k_min) {
   std::fill(u, u + size, 0ull);
   int n_sig = 0;
   for (int k = kTopPlane; k >= k_min && budget > 0; --k) {
@@ -167,8 +176,6 @@ void inv_transform(const std::uint64_t* u, int n, const int* perm,
       for (int j = 0; j < 4; ++j) inv_lift4(q + 4 * j + 16 * k, 1);
   }
 }
-
-}  // namespace
 
 void encode_block_ints(const std::int64_t* q, int size, int budget_bits,
                        std::span<std::byte> out) {
@@ -370,18 +377,7 @@ void Zfpx1dCodec::decompress(std::span<const std::byte> in,
 
 // ----------------------------------------------- fixed-accuracy stream API
 
-ZfpxAccuracyCodec::ZfpxAccuracyCodec(double abs_tol) : tol_(abs_tol) {
-  LFFT_REQUIRE(abs_tol > 0.0 && std::isfinite(abs_tol),
-               "zfpx accuracy mode needs a positive finite tolerance");
-}
-
-std::string ZfpxAccuracyCodec::name() const {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "zfpx-acc(%.1e)", tol_);
-  return buf;
-}
-
-namespace {
+namespace zfpx_detail {
 
 // Lowest bit plane that must be encoded so the dropped tail (bounded by
 // 2^(k_min+1) quantized units) times the <=4x inverse-lift growth stays
@@ -391,11 +387,303 @@ int accuracy_k_min(double tol, int e) {
   if (e == kZeroBlockExp) return 62;  // Nothing to encode.
   const double quantized_tol = tol / std::ldexp(1.0, e - kQ);
   if (quantized_tol <= 16.0) return 0;  // Encode every plane.
+  // The quantum 2^(e-55) underflows to 0 when max |v| < 2^-1020 (or the
+  // header is hostile), and the quotient is then inf: send the header
+  // only, as the stream always has.
+  if (!std::isfinite(quantized_tol)) return 62;
   const int k = static_cast<int>(std::floor(std::log2(quantized_tol))) - 4;
   return std::min(k, 62);
 }
 
+}  // namespace zfpx_detail
+
+namespace {
+
+using zfpx_detail::kTopPlane;
+
+// Bit-exact stand-ins for the per-block libm calls of the reference
+// coder (frexp, ldexp, llround), working on the IEEE-754 bits.
+
+constexpr std::uint64_t kAbsMask = ~(std::uint64_t{1} << 63);
+constexpr std::uint64_t kInfBits = 0x7FF0000000000000ull;
+
+// frexp's exponent of a finite nonzero magnitude, read off its bits.
+// Subnormals lack the implicit one and go through frexp itself.
+inline int frexp_exponent(std::uint64_t abs_bits) {
+  const int biased = static_cast<int>(abs_bits >> 52);
+  if (biased != 0) return biased - 1022;
+  int e = 0;
+  std::frexp(std::bit_cast<double>(abs_bits), &e);
+  return e;
+}
+
+// ldexp(1.0, p), built from the bits wherever 2^p is a normal double.
+inline double pow2(int p) {
+  if (p >= -1022 && p <= 1023) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(p + 1023) << 52);
+  }
+  return std::ldexp(1.0, p);
+}
+
+// llround for |x| < 2^63: truncate toward zero, then step away from zero
+// when the (exactly computed) fraction is at least one half.
+inline std::int64_t round_half_away(double x) {
+  const auto t = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(t);
+  return t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+}
+
+// The 4-block transform: quantize (|q| <= 2^55), one Haar lift,
+// negabinary map, and back.
+inline void forward4(const double* v, int e, std::uint64_t* u) {
+  std::int64_t q[4];
+  if (kQ - e <= 1023) {
+    const double scale = pow2(kQ - e);
+    for (int i = 0; i < 4; ++i) q[i] = round_half_away(v[i] * scale);
+  } else {
+    // 2^(55-e) overflows for max |v| < 2^-968 (reached only with
+    // tolerances below ~1e-288): scale in two exact power-of-two steps.
+    const double scale = pow2(kQ - e - 1023);
+    for (int i = 0; i < 4; ++i) {
+      q[i] = round_half_away(v[i] * 0x1p1023 * scale);
+    }
+  }
+  fwd_lift4(q, 1);
+  for (int i = 0; i < 4; ++i) u[i] = int_to_negabinary(q[i]);
+}
+
+// Values a decoded block can reach: |q| < 2^63, so |v| < 2^(e+8), which
+// overflows only above this exponent (a hostile or near-DBL_MAX header).
+constexpr int kMaxFiniteExp = 1024 - 8;
+
+inline void inverse4(const std::uint64_t* u, int e, double* v) {
+  std::int64_t q[4];
+  for (int i = 0; i < 4; ++i) q[i] = negabinary_to_int(u[i]);
+  inv_lift4(q, 1);
+  const double scale = pow2(e - kQ);
+  for (int i = 0; i < 4; ++i) v[i] = static_cast<double>(q[i]) * scale;
+  if (e > kMaxFiniteExp) {
+    for (int i = 0; i < 4; ++i) {
+      LFFT_REQUIRE(std::isfinite(v[i]), "zfpx-acc: decoded value overflows");
+    }
+  }
+}
+
+// Plane k of a 4-block as a 4-bit word, coefficient i at bit i.
+inline std::uint64_t plane_word(const std::uint64_t* u, int k) {
+  return ((u[0] >> k) & 1) | (((u[1] >> k) & 1) << 1) |
+         (((u[2] >> k) & 1) << 2) | (((u[3] >> k) & 1) << 3);
+}
+
+inline void deposit_plane(std::uint64_t w, int k, std::uint64_t* u) {
+  for (int i = 0; i < 4; ++i) u[i] |= ((w >> i) & 1) << k;
+}
+
+// Until all four coefficients are significant, a plane is the verbatim
+// bits of the n_sig significant ones, then group tests: 1, a zero run
+// and the 1 of the next coefficient to turn significant, repeated, closed
+// by a 0 when no insignificant coefficient has the bit. The group tests
+// depend only on (n_sig, plane word) and take at most 8 - 2 n_sig bits,
+// so both directions are table lookups.
+struct GroupCode {
+  std::uint8_t bits, len, n_sig;
+};
+
+constexpr std::array<std::array<GroupCode, 16>, 4> kGroupCode = [] {
+  std::array<std::array<GroupCode, 16>, 4> t{};
+  for (int s = 0; s < 4; ++s) {
+    for (unsigned w = 0; w < 16; ++w) {
+      unsigned bits = 0;
+      int len = 0, n = s;
+      while (n < 4) {
+        const unsigned rest = w >> n;
+        if (rest == 0) {
+          ++len;  // The closing 0.
+          break;
+        }
+        const int run = std::countr_zero(rest);
+        bits |= ((2u << run) | 1u) << len;
+        len += run + 2;
+        n += run + 1;
+      }
+      t[s][w] = {static_cast<std::uint8_t>(bits),
+                 static_cast<std::uint8_t>(len),
+                 static_cast<std::uint8_t>(n)};
+    }
+  }
+  return t;
+}();
+
+// The decoder's view, indexed by n_sig and the 8 stream bits after the
+// verbatim prefix: bits consumed, coefficients promoted (as a plane
+// word) and the new n_sig. It parses malformed bits the way the scalar
+// reference does: a 1 whose run no 1 closes promotes nothing and ends
+// the plane.
+struct GroupParse {
+  std::uint8_t len, promoted, n_sig;
+};
+
+constexpr std::array<std::array<GroupParse, 256>, 4> kGroupParse = [] {
+  std::array<std::array<GroupParse, 256>, 4> t{};
+  for (int s = 0; s < 4; ++s) {
+    for (unsigned b = 0; b < 256; ++b) {
+      unsigned promoted = 0;
+      int p = 0, n = s;
+      while (n < 4 && ((b >> p++) & 1u) != 0) {
+        const unsigned rest = (b >> p) & ((1u << (4 - n)) - 1);
+        if (rest == 0) {
+          p += 4 - n;
+          break;
+        }
+        const int run = std::countr_zero(rest);
+        promoted |= 1u << (n + run);
+        p += run + 1;
+        n += run + 1;
+      }
+      t[s][b] = {static_cast<std::uint8_t>(p),
+                 static_cast<std::uint8_t>(promoted),
+                 static_cast<std::uint8_t>(n)};
+    }
+  }
+  return t;
+}();
+
+// The saturated tail of a 4-block is plane-major: 4 bits per plane, the
+// top plane first, coefficient i at bit i. A 16-plane chunk is assembled
+// from (and split back into) per-coefficient 16-bit windows x_i, where
+// bit 15 of x_i is the chunk's top plane, one byte at a time through two
+// 256-entry tables.
+
+// Stream bits of 8 planes of one coefficient: bit 7-s of b -> bit 4s.
+constexpr std::array<std::uint32_t, 256> kTailSpread = [] {
+  std::array<std::uint32_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned s = 0; s < 8; ++s) t[b] |= ((b >> (7 - s)) & 1u) << (4 * s);
+  }
+  return t;
+}();
+
+// One stream byte (2 planes x 4 coefficients) back to the windows: bit
+// 4t+i -> bit 16i+1-t, coefficient i's two bits side by side in lane i.
+constexpr std::array<std::uint64_t, 256> kTailGather = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned i = 0; i < 4; ++i) {
+      for (unsigned p = 0; p < 2; ++p) {
+        t[b] |= std::uint64_t{(b >> (4 * p + i)) & 1u} << (16 * i + 1 - p);
+      }
+    }
+  }
+  return t;
+}();
+
+// 4*planes stream bits for planes k, k-1, ... of u (planes past the
+// chunk land above 4*planes and are cut off by the put).
+inline std::uint64_t tail_chunk(const std::uint64_t* u, int k) {
+  std::uint64_t c = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t x = (u[i] << (63 - k)) >> 48;
+    c |= (kTailSpread[x >> 8] | std::uint64_t{kTailSpread[x & 0xFF]} << 32)
+         << i;
+  }
+  return c;
+}
+
+// Inverse of tail_chunk: OR the chunk's planes into u.
+inline void untail_chunk(std::uint64_t c, int k, std::uint64_t* u) {
+  std::uint64_t x = 0;
+  for (int j = 0; j < 8; ++j) {
+    x |= kTailGather[(c >> (8 * j)) & 0xFF] << (14 - 2 * j);
+  }
+  for (int i = 0; i < 4; ++i) {
+    u[i] |= (((x >> (16 * i)) & 0xFFFF) << 48) >> (63 - k);
+  }
+}
+
+// Bit planes kTopPlane..k_min of one 4-block: the bits of
+// zfpx_detail::encode_planes(u, 4, <no budget>, bw, k_min), one put per
+// plane until every coefficient is significant and one per 16 planes
+// after.
+void encode_planes4(const std::uint64_t* u, int k_min, BitWriter& bw) {
+  // While nothing is significant an empty plane is one 0 any-bit, so the
+  // planes above the top set bit go out as a single put.
+  const int top = std::bit_width(u[0] | u[1] | u[2] | u[3]) - 1;
+  int k = std::min(kTopPlane, std::max(top, k_min - 1));
+  bw.put(0, kTopPlane - k);
+  int n_sig = 0;
+  for (; k >= k_min && n_sig < 4; --k) {
+    const std::uint64_t w = plane_word(u, k);
+    const GroupCode g = kGroupCode[n_sig][w];
+    bw.put((w & ((1u << n_sig) - 1)) | (std::uint64_t{g.bits} << n_sig),
+           n_sig + g.len);
+    n_sig = g.n_sig;
+  }
+  // Saturated tail: every plane is the 4 verbatim bits, 16 planes per
+  // put.
+  while (k >= k_min) {
+    const int planes = std::min(16, k - k_min + 1);
+    bw.put(tail_chunk(u, k), 4 * planes);
+    k -= planes;
+  }
+}
+
+// Inverse of encode_planes4. Consumes the bits zfpx_detail::decode_planes
+// (u, 4, <no budget>, br, k_min) consumes and parses malformed planes the
+// same way; reading past the end of the input throws.
+void decode_planes4(BitReader& br, int k_min, std::uint64_t* u) {
+  u[0] = u[1] = u[2] = u[3] = 0;
+  int k = kTopPlane;
+  int n_sig = 0;
+  // Planes before saturation parse out of 64-bit windows. A plane takes
+  // at most 8 bits; the window is zero past the end of the input, and
+  // skip() rejects a parse that ran into that padding.
+  while (k >= k_min && n_sig < 4) {
+    const std::uint64_t win = br.peek_upto(64).first;
+    int used = 0;
+    while (k >= k_min && n_sig < 4 && used <= 64 - 8) {
+      const std::uint64_t bits = win >> used;
+      if (n_sig == 0) {
+        // A run of empty planes is a run of 0 any-bits.
+        const int z = std::min({std::countr_zero(bits), k - k_min + 1,
+                                64 - used});
+        if (z > 0) {
+          used += z;
+          k -= z;
+          continue;
+        }
+      }
+      const GroupParse g = kGroupParse[n_sig][(bits >> n_sig) & 0xFF];
+      deposit_plane((bits & ((1u << n_sig) - 1)) | g.promoted, k, u);
+      used += n_sig + g.len;
+      n_sig = g.n_sig;
+      --k;
+    }
+    br.skip(used);
+  }
+  while (k >= k_min) {
+    const int planes = std::min(16, k - k_min + 1);
+    untail_chunk(br.get(4 * planes), k, u);
+    k -= planes;
+  }
+}
+
 }  // namespace
+
+ZfpxAccuracyCodec::ZfpxAccuracyCodec(double abs_tol)
+    : tol_(abs_tol), k_min_(std::size_t{1} << 16) {
+  LFFT_REQUIRE(abs_tol > 0.0 && std::isfinite(abs_tol),
+               "zfpx accuracy mode needs a positive finite tolerance");
+  for (int e = -32768; e <= 32767; ++e) {
+    k_min_[static_cast<std::size_t>(e + 32768)] =
+        static_cast<std::int8_t>(zfpx_detail::accuracy_k_min(tol_, e));
+  }
+}
+
+std::string ZfpxAccuracyCodec::name() const {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "zfpx-acc(%.1e)", tol_);
+  return buf;
+}
 
 std::size_t ZfpxAccuracyCodec::shard_payload_bound(std::size_t m) const {
   // Worst case per 4-block: 16-bit header + 62 planes x (<= 13 bits).
@@ -411,50 +699,43 @@ std::size_t ZfpxAccuracyCodec::compress_shard(std::span<const double> in,
   // One shard is a self-contained run of 4-blocks (the tail block
   // replicates the shard's last element, so shard boundaries do not leak
   // across). BitWriter initializes every byte it touches, so no pre-fill.
-  const simd::ZfpxKernels& kern = simd::zfpx_kernels();
   BitWriter bw(out);
-  const std::size_t blocks = (in.size() + 3) / 4;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    double block[4];
-    for (int i = 0; i < 4; ++i) {
-      const std::size_t src =
-          std::min(in.size() - 1, b * 4 + static_cast<std::size_t>(i));
-      block[i] = in.empty() ? 0.0 : in[src];
+  const std::size_t n = in.size();
+  for (std::size_t i0 = 0; i0 < n; i0 += 4) {
+    double v[4];
+    for (std::size_t i = 0; i < 4; ++i) v[i] = in[std::min(n - 1, i0 + i)];
+    // The largest magnitude has the largest |bits|; a non-finite value
+    // anywhere in the block has larger bits than every finite one.
+    std::uint64_t amax = 0;
+    for (const double x : v) {
+      amax = std::max(amax, std::bit_cast<std::uint64_t>(x) & kAbsMask);
     }
-    const int e = block_exponent(block, 4);
+    LFFT_REQUIRE(amax < kInfBits, "zfpx requires finite data");
+    const int e = amax == 0 ? kZeroBlockExp : frexp_exponent(amax);
     bw.put(static_cast<std::uint16_t>(static_cast<std::int16_t>(e)), 16);
-    const int k_min = accuracy_k_min(tol_, e);
-    if (k_min > 61) continue;  // Whole block is below tolerance.
-
-    std::int64_t q[4];
-    quantize(block, 4, e, q);
+    const int k_min = this->k_min(e);
+    if (k_min > kTopPlane) continue;  // Whole block is below tolerance.
     std::uint64_t u[4];
-    kern.fwd_transform(q, 4, nullptr, u);
-    kern.encode_planes(u, 4, 1 << 30, bw, k_min);
+    forward4(v, e, u);
+    encode_planes4(u, k_min, bw);
   }
-  return (bw.bit_count() + 7) / 8;
+  return bw.byte_count();
 }
 
 void ZfpxAccuracyCodec::decompress_shard(std::span<const std::byte> in,
                                          std::span<double> out) const {
-  const simd::ZfpxKernels& kern = simd::zfpx_kernels();
   BitReader br(in);
-  const std::size_t blocks = (out.size() + 3) / 4;
-  for (std::size_t b = 0; b < blocks; ++b) {
+  const std::size_t n = out.size();
+  for (std::size_t i0 = 0; i0 < n; i0 += 4) {
     const int e = static_cast<std::int16_t>(br.get(16));
-    double block[4] = {0, 0, 0, 0};
-    const int k_min = accuracy_k_min(tol_, e);
-    if (k_min <= 61) {
+    double v[4] = {0, 0, 0, 0};
+    const int k_min = this->k_min(e);
+    if (k_min <= kTopPlane) {
       std::uint64_t u[4];
-      kern.decode_planes(u, 4, 1 << 30, br, k_min);
-      std::int64_t q[4];
-      kern.inv_transform(u, 4, nullptr, q);
-      dequantize(q, 4, e, block);
+      decode_planes4(br, k_min, u);
+      inverse4(u, e, v);
     }
-    for (int i = 0; i < 4 && b * 4 + static_cast<std::size_t>(i) < out.size();
-         ++i) {
-      out[b * 4 + static_cast<std::size_t>(i)] = block[i];
-    }
+    for (std::size_t i = 0; i < 4 && i0 + i < n; ++i) out[i0 + i] = v[i];
   }
 }
 

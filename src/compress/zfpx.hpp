@@ -21,10 +21,15 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
 #include "compress/codec.hpp"
 
 namespace lossyfft {
+
+class BitWriter;
+class BitReader;
 
 /// Stream codec treating the input as 1-D blocks of 4 doubles.
 class Zfpx1dCodec final : public Codec {
@@ -58,6 +63,13 @@ class Zfpx1dCodec final : public Codec {
 /// directory, so ParallelCodec can fan one large variable slot across the
 /// WorkerPool — on both sides — and still emit the bytes the serial
 /// encoder writes.
+///
+/// The shard coder is one plain C++ loop over 4-blocks on u64 words,
+/// independent of the SIMD dispatch level: bit-exact replacements for the
+/// libm calls, a per-codec lowest-plane table, one put per plane before
+/// all four coefficients are significant and one per 16 planes after.
+/// Its streams are byte-identical to the per-block reference coder in
+/// zfpx_detail (pinned by zfpx_acc_test).
 class ZfpxAccuracyCodec final : public Codec {
  public:
   /// Frame shard size: 1024 4-blocks per shard, matching szq's choice —
@@ -86,7 +98,13 @@ class ZfpxAccuracyCodec final : public Codec {
   double tolerance() const { return tol_; }
 
  private:
+  /// Lowest coded bit plane for a block header value: zfpx_detail::
+  /// accuracy_k_min(tol_, e) at index e + 32768, for every int16 e, so a
+  /// decoded header of any value indexes inside the table.
+  int k_min(int e) const { return k_min_[static_cast<std::size_t>(e + 32768)]; }
+
   double tol_;
+  std::vector<std::int8_t> k_min_;
 };
 
 /// 2-D field interface: fixed-rate 4x4 blocks of an (nx, ny) field laid
@@ -134,6 +152,24 @@ void encode_block_ints(const std::int64_t* q, int size, int budget_bits,
                        std::span<std::byte> out);
 void decode_block_ints(std::span<const std::byte> in, int size,
                        int budget_bits, std::int64_t* q);
+
+/// The scalar reference kernels (the scalar row of the SIMD dispatch
+/// table). The bit-plane coder runs planes 61 down to `k_min` within
+/// `budget` bits; the transforms lift, sequency-permute (`perm` may be
+/// null for n == 4) and negabinary-map a block of n in {4, 16, 64}.
+void encode_planes(const std::uint64_t* u, int size, int budget,
+                   BitWriter& bw, int k_min = 0);
+void decode_planes(std::uint64_t* u, int size, int budget, BitReader& br,
+                   int k_min = 0);
+void fwd_transform(std::int64_t* q, int n, const int* perm,
+                   std::uint64_t* u);
+void inv_transform(const std::uint64_t* u, int n, const int* perm,
+                   std::int64_t* q);
+
+/// Accuracy mode's lowest coded bit plane for tolerance `tol` and block
+/// exponent `e`; 62 means the whole block is below the tolerance and only
+/// its header is sent. Defined for every int `e`, hostile headers too.
+int accuracy_k_min(double tol, int e);
 
 }  // namespace zfpx_detail
 

@@ -8,8 +8,12 @@
 // Bit-identity with the scalar reference in zfpx.cpp is the contract:
 // budget/k_min/end-of-stream behavior replicates the scalar control flow
 // exactly, including which LFFT_REQUIRE fires on a truncated stream. The
-// lane helpers and encoder live in zfpx_simd_lanes.hpp, shared with the
-// AVX-512 TU.
+// lane helpers and encoder live in zfpx_simd_lanes.hpp.
+//
+// These kernels serve the fixed-rate block codecs (Zfpx1dCodec, Zfpx2d,
+// Zfpx3d); the accuracy-mode stream codec runs its own word-level 4-block
+// coder in zfpx.cpp at every level. The AVX-512 level reuses this table:
+// 512-bit zfpx kernels measured no faster than these (BENCH_kernels.json).
 #include "compress/simd.hpp"
 
 #if defined(LOSSYFFT_SIMD_AVX2)
@@ -53,3 +57,9 @@ ZfpxKernels avx2_zfpx_kernels() { return scalar_zfpx_kernels(); }
 }  // namespace lossyfft::simd
 
 #endif
+
+namespace lossyfft::simd {
+
+ZfpxKernels avx512_zfpx_kernels() { return avx2_zfpx_kernels(); }
+
+}  // namespace lossyfft::simd
