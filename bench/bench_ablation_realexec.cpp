@@ -30,10 +30,55 @@
 #include "minimpi/fault.hpp"
 #include "minimpi/runtime.hpp"
 #include "osc/exchange_plan.hpp"
-#include "osc/osc_alltoall.hpp"
 #include "tuner/tuner.hpp"
 
 using namespace lossyfft;
+
+namespace {
+
+// The staged two-sided codec baseline, kept here as the ablation reference
+// for the library's fused rendezvous path: compress every destination into
+// a capacity-offset slab, exchange the byte sizes (minimpi::alltoall) and
+// the slab (minimpi::alltoallv), then decompress every source. The layout
+// is symmetric: every rank sends and receives `counts` at `displs`.
+osc::ExchangeStats staged_alltoallv(minimpi::Comm& comm, const Codec& codec,
+                                    std::span<const double> send,
+                                    std::span<double> recv,
+                                    std::span<const std::uint64_t> counts,
+                                    std::span<const std::uint64_t> displs) {
+  const std::size_t p = counts.size();
+  std::vector<std::uint64_t> cap(p), off(p), sbytes(p), rbytes(p);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    cap[i] = codec.max_compressed_bytes(counts[i]);
+    off[i] = total;
+    total += cap[i];
+  }
+  std::vector<std::byte> sstage(total), rstage(total);
+  osc::ExchangeStats st;
+  st.rounds = static_cast<int>(p);
+  for (std::size_t i = 0; i < p; ++i) {
+    sbytes[i] = codec.compress(send.subspan(displs[i], counts[i]),
+                               std::span<std::byte>(sstage).subspan(off[i],
+                                                                    cap[i]));
+    st.payload_bytes += counts[i] * sizeof(double);
+    st.wire_bytes += sbytes[i];
+    if (counts[i] > 0) ++st.messages;
+  }
+  minimpi::alltoall(
+      comm, std::as_bytes(std::span<const std::uint64_t>(sbytes)),
+      std::as_writable_bytes(std::span<std::uint64_t>(rbytes)),
+      sizeof(std::uint64_t));
+  minimpi::alltoallv(comm, sstage, sbytes, off, rstage, rbytes, off);
+  for (std::size_t i = 0; i < p; ++i) {
+    codec.decompress(std::span<const std::byte>(rstage).subspan(off[i],
+                                                                rbytes[i]),
+                     recv.subspan(displs[i], counts[i]));
+  }
+  return st;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   // Size the process pool before its first use; keep a user's explicit
@@ -70,7 +115,6 @@ int main(int argc, char** argv) {
       {"pairwise raw", ExchangeBackend::kPairwise, nullptr, 1},
       {"pairwise raw eager", ExchangeBackend::kPairwise, nullptr, 1, 1, true},
       {"pairwise raw fftx4", ExchangeBackend::kPairwise, nullptr, 1, 4},
-      {"linear raw", ExchangeBackend::kLinear, nullptr, 1},
       {"osc raw", ExchangeBackend::kOsc, nullptr, 1},
       {"osc raw fftx4", ExchangeBackend::kOsc, nullptr, 1, 4},
       {"osc raw x4", ExchangeBackend::kOsc, nullptr, 4},
@@ -150,8 +194,9 @@ int main(int argc, char** argv) {
   // with no compute in between isolates the exchange itself. "plan" rows
   // hold a persistent osc::ExchangePlan across iterations (the
   // Reshape-steady-state configuration); call rows pay the per-call setup.
-  // "staged" vs "fused" isolates the compression-fused rendezvous path
-  // against the encode+copy+decode baseline on the same codec.
+  // "staged" vs "fused" isolates the library's compression-fused
+  // rendezvous path against the bench-local encode+copy+decode baseline
+  // (staged_alltoallv) on the same codec.
   struct XRow {
     std::string label;
     double ms;
@@ -167,12 +212,18 @@ int main(int argc, char** argv) {
     const std::size_t per_peer = static_cast<std::size_t>(n[0]) * n[1] * n[2] /
                                  static_cast<std::size_t>(ranks * ranks);
     const int xiters = smoke ? 4 : 50;
-    enum class XMode { kPairwise, kOscCall, kOscPlan, kTwoCall, kTwoPlan };
+    enum class XMode {
+      kPairwise,
+      kOscCall,
+      kOscPlan,
+      kTwoStaged,
+      kTwoCall,
+      kTwoPlan
+    };
     struct XCfg {
       std::string label;
       XMode mode;
       CodecPtr codec;           // nullptr = raw bytes.
-      bool fused = true;        // Two-sided codec paths only.
       bool eager_only = false;  // Force the copy-through-envelope transport.
       osc::OscSync sync = osc::OscSync::kFence;  // One-sided epoch close.
       int workers = 1;          // >1 enables pool-pipelined target decode.
@@ -183,36 +234,33 @@ int main(int argc, char** argv) {
     std::vector<XCfg> xcfgs = {
         {"osc raw", XMode::kOscCall, nullptr},
         {"osc raw plan", XMode::kOscPlan, nullptr},
-        {"osc raw pscw plan", XMode::kOscPlan, nullptr, true, false, kPscw},
+        {"osc raw pscw plan", XMode::kOscPlan, nullptr, false, kPscw},
         {"pairwise raw", XMode::kPairwise, nullptr},
-        {"pairwise raw eager", XMode::kPairwise, nullptr, true, true},
+        {"pairwise raw eager", XMode::kPairwise, nullptr, true},
         {"fp32 osc", XMode::kOscCall, fp32},
         {"fp32 osc plan", XMode::kOscPlan, fp32},
-        {"fp32 osc pscw plan", XMode::kOscPlan, fp32, true, false, kPscw},
-        {"fp32 osc pscw piped plan", XMode::kOscPlan, fp32, true, false, kPscw,
-         4},
-        {"fp32 twosided staged", XMode::kTwoCall, fp32, false},
-        {"fp32 twosided fused", XMode::kTwoCall, fp32, true},
-        {"fp32 twosided plan", XMode::kTwoPlan, fp32, true},
+        {"fp32 osc pscw plan", XMode::kOscPlan, fp32, false, kPscw},
+        {"fp32 osc pscw piped plan", XMode::kOscPlan, fp32, false, kPscw, 4},
+        {"fp32 twosided staged", XMode::kTwoStaged, fp32},
+        {"fp32 twosided fused", XMode::kTwoCall, fp32},
+        {"fp32 twosided plan", XMode::kTwoPlan, fp32},
         {"bittrim20 osc", XMode::kOscCall, trim20},
         {"bittrim20 osc plan", XMode::kOscPlan, trim20},
-        {"bittrim20 osc pscw plan", XMode::kOscPlan, trim20, true, false,
-         kPscw},
-        {"bittrim20 osc pscw piped plan", XMode::kOscPlan, trim20, true, false,
+        {"bittrim20 osc pscw plan", XMode::kOscPlan, trim20, false, kPscw},
+        {"bittrim20 osc pscw piped plan", XMode::kOscPlan, trim20, false,
          kPscw, 4},
-        {"bittrim20 twosided staged", XMode::kTwoCall, trim20, false},
-        {"bittrim20 twosided fused", XMode::kTwoCall, trim20, true},
-        {"bittrim20 twosided plan", XMode::kTwoPlan, trim20, true},
+        {"bittrim20 twosided staged", XMode::kTwoStaged, trim20},
+        {"bittrim20 twosided fused", XMode::kTwoCall, trim20},
+        {"bittrim20 twosided plan", XMode::kTwoPlan, trim20},
         {"szq1e-6 osc plan", XMode::kOscPlan, szq6},
-        {"szq1e-6 osc pscw plan", XMode::kOscPlan, szq6, true, false, kPscw},
+        {"szq1e-6 osc pscw plan", XMode::kOscPlan, szq6, false, kPscw},
         // The bit-plane codec rows time the scan-then-fill zfpx decode on
         // the wire it actually rides (target-side decode inside the
         // one-sided epoch); the piped row adds pool-pipelined decode.
         {"zfpx-acc1e-6 osc plan", XMode::kOscPlan, zacc6},
-        {"zfpx-acc1e-6 osc pscw plan", XMode::kOscPlan, zacc6, true, false,
-         kPscw},
-        {"zfpx-acc1e-6 osc pscw piped plan", XMode::kOscPlan, zacc6, true,
-         false, kPscw, 4},
+        {"zfpx-acc1e-6 osc pscw plan", XMode::kOscPlan, zacc6, false, kPscw},
+        {"zfpx-acc1e-6 osc pscw piped plan", XMode::kOscPlan, zacc6, false,
+         kPscw, 4},
     };
     // Coded exchange under injected stragglers: a probabilistic delay plan
     // parks a slice of the one-sided puts past the epoch close. With m = 0
@@ -243,7 +291,6 @@ int main(int argc, char** argv) {
           case tuner::TunePath::kOneSidedFence: return "osc-fence";
           case tuner::TunePath::kOneSidedPscw: return "osc-pscw";
           case tuner::TunePath::kTwoSidedFused: return "two-fused";
-          case tuner::TunePath::kTwoSidedStaged: return "two-staged";
         }
         return "?";
       };
@@ -272,7 +319,6 @@ int main(int argc, char** argv) {
                      ? XMode::kOscPlan
                      : XMode::kTwoPlan;
         c.codec = ac.codec;
-        c.fused = d.fused();
         c.sync = d.sync();
         c.workers = d.workers;
         xcfgs.push_back(std::move(c));
@@ -297,7 +343,6 @@ int main(int argc, char** argv) {
         }
         osc::OscOptions oo;
         oo.codec = xcfg.codec;
-        oo.fused = xcfg.fused;
         oo.sync = xcfg.sync;
         oo.workers = xcfg.workers;
         oo.parity = xcfg.parity;
@@ -322,12 +367,16 @@ int main(int argc, char** argv) {
                   bcounts, bdispls);
               break;
             case XMode::kOscCall:
-              st = osc::osc_alltoallv(comm, send, counts, displs, recvb,
-                                      counts, displs, oo);
-              break;
             case XMode::kTwoCall:
-              st = osc::compressed_alltoallv(comm, send, counts, displs, recvb,
-                                             counts, displs, oo);
+              st = osc::transient_alltoallv(
+                  comm,
+                  xcfg.mode == XMode::kOscCall ? osc::PlanBackend::kOneSided
+                                               : osc::PlanBackend::kTwoSided,
+                  send, counts, displs, recvb, counts, displs, oo);
+              break;
+            case XMode::kTwoStaged:
+              st = staged_alltoallv(comm, *xcfg.codec, send, recvb, counts,
+                                    displs);
               break;
             case XMode::kOscPlan:
             case XMode::kTwoPlan:

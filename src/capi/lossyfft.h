@@ -20,14 +20,15 @@ extern "C" {
 typedef struct lossyfft_comm lossyfft_comm;
 typedef struct lossyfft_plan lossyfft_plan;
 
-/* Exchange backends (ExchangeBackend). LOSSYFFT_BACKEND_AUTO hands the
- * choice of transport path, sync mode, and worker fan-out to the
- * model-guided autotuner (src/tuner/); decisions persist across processes
- * in the cache file named by the LOSSYFFT_TUNE_CACHE environment
- * variable. Results are identical to any fixed backend. */
+/* Exchange backends (ExchangeBackend): the two-sided pairwise exchange
+ * and the paper's one-sided ring. LOSSYFFT_BACKEND_AUTO hands the choice
+ * of transport path, sync mode, and worker fan-out to the model-guided
+ * autotuner (src/tuner/); decisions persist across processes in the cache
+ * file named by the LOSSYFFT_TUNE_CACHE environment variable. Results are
+ * identical to any fixed backend. Value 1 (the retired linear two-sided
+ * baseline) is rejected: planning with it returns NULL. */
 enum {
   LOSSYFFT_BACKEND_PAIRWISE = 0,
-  LOSSYFFT_BACKEND_LINEAR = 1,
   LOSSYFFT_BACKEND_OSC = 2,
   LOSSYFFT_BACKEND_AUTO = 3
 };

@@ -10,10 +10,16 @@ namespace lossyfft::simd {
 // to the detected level, so an index never names lanes the host cannot
 // run (and the fallback factories mean it never names lanes the *binary*
 // does not contain either).
+//
+// zfpx and szq run their AVX2 table at the avx512 level. For szq the only
+// 512-bit strategy the index format admits is one vpgatherqq per eight
+// packed indices, which is microcoded on enough parts to measure ~1.5x
+// slower than the scalar BitReader; the AVX2 4-lane extraction wins
+// everywhere we have measured, and output is identical either way.
 const ZfpxKernels& zfpx_kernels() {
   static const ZfpxKernels tables[3] = {scalar_zfpx_kernels(),
                                         avx2_zfpx_kernels(),
-                                        avx512_zfpx_kernels()};
+                                        avx2_zfpx_kernels()};
   return tables[static_cast<int>(simd_level())];
 }
 
@@ -27,7 +33,7 @@ const TrimKernels& trim_kernels() {
 const SzqKernels& szq_kernels() {
   static const SzqKernels tables[3] = {scalar_szq_kernels(),
                                        avx2_szq_kernels(),
-                                       avx512_szq_kernels()};
+                                       avx2_szq_kernels()};
   return tables[static_cast<int>(simd_level())];
 }
 

@@ -72,15 +72,14 @@ const SzqKernels& szq_kernels();
 /// lanes: avx512 falls back to the avx2 table (old compiler or forced-avx2
 /// build), avx2 falls back to scalar (non-x86 or forced-scalar build) —
 /// so every table index is always populated and dispatch never overruns
-/// what the binary actually contains.
+/// what the binary actually contains. zfpx and szq have no AVX-512 tier:
+/// their avx512 slot holds the AVX2 table (simd.cpp).
 ZfpxKernels scalar_zfpx_kernels();
 ZfpxKernels avx2_zfpx_kernels();
-ZfpxKernels avx512_zfpx_kernels();
 TrimKernels scalar_trim_kernels();
 TrimKernels avx2_trim_kernels();
 TrimKernels avx512_trim_kernels();
 SzqKernels scalar_szq_kernels();
 SzqKernels avx2_szq_kernels();
-SzqKernels avx512_szq_kernels();
 
 }  // namespace lossyfft::simd

@@ -57,9 +57,3 @@ ZfpxKernels avx2_zfpx_kernels() { return scalar_zfpx_kernels(); }
 }  // namespace lossyfft::simd
 
 #endif
-
-namespace lossyfft::simd {
-
-ZfpxKernels avx512_zfpx_kernels() { return avx2_zfpx_kernels(); }
-
-}  // namespace lossyfft::simd

@@ -7,7 +7,6 @@
 #include "common/worker_pool.hpp"
 #include "compress/parallel_codec.hpp"
 #include "dfft/decomp.hpp"
-#include "minimpi/alltoall.hpp"
 #include "tuner/tuner.hpp"
 
 namespace lossyfft {
@@ -56,26 +55,6 @@ void unpack_subvolume(const Box3& box, const Box3& sub, E* box_data,
   }
 }
 
-// unpack_subvolume reading from raw bytes of unknown alignment (an eager
-// envelope or a peer's published staging): row copies addressed in bytes.
-template <typename E>
-void unpack_subvolume_bytes(const Box3& box, const Box3& sub, E* box_data,
-                            const std::byte* staged) {
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(sub.size[0]) * sizeof(E);
-  std::size_t s = 0;
-  for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
-    for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
-      std::memcpy(box_data + subvolume_row_base<E>(box, sub, y, z), staged + s,
-                  row_bytes);
-      s += row_bytes;
-    }
-  }
-}
-
-// Clear of user tags and the other reserved transport tags.
-constexpr int kReshapeFusedTag = (1 << 28) + 73;
-
 int resolve_workers(int requested) {
   if (requested == 0) return WorkerPool::global().concurrency();
   return requested > 1 ? requested : 1;
@@ -86,7 +65,6 @@ int resolve_workers(int requested) {
 const char* to_string(ExchangeBackend b) {
   switch (b) {
     case ExchangeBackend::kPairwise: return "pairwise";
-    case ExchangeBackend::kLinear: return "linear";
     case ExchangeBackend::kOsc: return "osc";
   }
   return "?";
@@ -104,7 +82,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
     LFFT_REQUIRE(options_.codec == nullptr,
                  "reshape: codecs only apply to double-based fields");
   }
-  workers_ = resolve_workers(options_.workers);
   LFFT_REQUIRE(options_.batch >= 1, "reshape: batch capacity must be >= 1");
 
   send_boxes_.resize(p);
@@ -130,58 +107,44 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
                "reshape: output boxes do not tile this rank's inbox");
   LFFT_REQUIRE(recv_total_ == static_cast<std::uint64_t>(my_out.count()),
                "reshape: input boxes do not tile this rank's outbox");
-  // Will this rank exchange through a persistent plan (codec / kOsc), or
-  // through the raw two-sided path? The fused raw pairwise exchange unpacks
-  // straight out of the sender's buffer, so recvbuf_ would be dead weight —
-  // leave it unallocated.
-  bool planned = false;
-  if constexpr (kReshapeDoubleBased<E>) {
-    planned = options_.codec || options_.backend == ExchangeBackend::kOsc;
-  }
-  fused_raw_ = !planned && options_.fused_raw &&
-               options_.backend == ExchangeBackend::kPairwise;
   if (options_.osc_sync == osc::OscSync::kAuto) {
-    if (!planned) {
-      // Nothing to tune without a plan: kAuto degrades to the inert default.
-      options_.osc_sync = osc::OscSync::kFence;
-    } else {
-      // Model-guided configuration. Rank 0 resolves the signature through
-      // the tuner (memo -> persistent cache -> calibrate + cost model) and
-      // broadcasts the POD decision: calibration is timing-based and would
-      // diverge across ranks, and plan construction is collective, so all
-      // ranks must apply one rank's answer.
-      tuner::ExchangeSignature sig;
-      sig.p = static_cast<int>(p);
-      sig.gpn = options_.gpus_per_node > 0 ? options_.gpus_per_node : 1;
-      std::uint64_t largest = 0;
-      for (std::size_t r = 0; r < p; ++r) {
-        if (static_cast<int>(r) != rank_) {
-          largest = std::max(largest, send_counts_[r]);
-        }
+    // Model-guided configuration. Rank 0 resolves the signature through
+    // the tuner (memo -> persistent cache -> calibrate + cost model) and
+    // broadcasts the POD decision: calibration is timing-based and would
+    // diverge across ranks, and plan construction is collective, so all
+    // ranks must apply one rank's answer.
+    tuner::ExchangeSignature sig;
+    sig.p = static_cast<int>(p);
+    sig.gpn = options_.gpus_per_node > 0 ? options_.gpus_per_node : 1;
+    std::uint64_t largest = 0;
+    for (std::size_t r = 0; r < p; ++r) {
+      if (static_cast<int>(r) != rank_) {
+        largest = std::max(largest, send_counts_[r]);
       }
-      sig.pair_bytes = largest * sizeof(E);
-      sig.codec = options_.codec;
-      tuner::TuneDecision d;
-      if (rank_ == 0) d = tuner::Tuner::global().decide(sig);
-      comm_.bcast(std::span<tuner::TuneDecision>(&d, 1), 0);
-      options_.osc_sync = d.sync();
-      options_.workers = d.workers;
-      workers_ = resolve_workers(options_.workers);
-      // The tuner's parity pick only fills in an unset knob: an explicit
-      // exchange_parity is the caller's resilience requirement.
-      if (options_.exchange_parity == 0) {
-        options_.exchange_parity = d.parity;
-      }
-      tuned_ = d;
     }
+    sig.pair_bytes = largest * sizeof(E);
+    sig.codec = options_.codec;
+    tuner::TuneDecision d;
+    if (rank_ == 0) d = tuner::Tuner::global().decide(sig);
+    comm_.bcast(std::span<tuner::TuneDecision>(&d, 1), 0);
+    options_.osc_sync = d.sync();
+    options_.workers = d.workers;
+    // The tuner's parity pick only fills in an unset knob: an explicit
+    // exchange_parity is the caller's resilience requirement. The coded
+    // wire frames doubles, so elements narrower than 8 bytes stay uncoded.
+    if (options_.exchange_parity == 0 && sizeof(E) % sizeof(double) == 0) {
+      options_.exchange_parity = d.parity;
+    }
+    tuned_ = d;
   }
+  const int workers = resolve_workers(options_.workers);
   // Pack elision: when every nonzero sub-volume this rank sends occupies
   // one contiguous run of the source field, packing is an identity copy.
   // Rewrite the send displacements to field-linear element offsets and
-  // exchange straight out of `in` — every exchange layer (ExchangePlan,
-  // alltoallv, the fused pairwise rounds) addresses send data exclusively
-  // through (displacement, count) subspans and peers only learn counts,
-  // so the decision is rank-local and results are byte-identical.
+  // exchange straight out of `in` — the plan addresses send data
+  // exclusively through (displacement, count) subspans and peers only
+  // learn counts, so the decision is rank-local and results are
+  // byte-identical.
   pack_elided_ = options_.pack_elision;
   for (std::size_t r = 0; r < p && pack_elided_; ++r) {
     if (send_counts_[r] > 0 &&
@@ -200,12 +163,10 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
     }
   }
   // Batched plans stage every field bank at once (the plan pins the whole
-  // recv span and the window replicates per field); unplanned paths run
-  // batches as per-field loops, so one bank suffices there.
-  const auto banks =
-      planned ? static_cast<std::size_t>(options_.batch) : std::size_t{1};
+  // recv span and the window replicates per field).
+  const auto banks = static_cast<std::size_t>(options_.batch);
   if (!pack_elided_) sendbuf_.resize(send_total_ * banks);
-  if (!fused_raw_) recvbuf_.resize(recv_total_ * banks);
+  recvbuf_.resize(recv_total_ * banks);
   // Pack/unpack fan-outs clamp against the staging volume: below the
   // bytes-per-shard floor the memcpy loops run serially on the rank
   // thread (submit/steal overhead beats the copies there).
@@ -218,155 +179,32 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   unpack_shards_ = WorkerPool::effective_shards(
       options_.workers, static_cast<std::size_t>(recv_total_) * sizeof(E));
 
-  // Unit-scaled count/displacement arrays, fixed for the plan's lifetime.
-  byte_send_counts_.resize(p);
-  byte_send_displs_.resize(p);
-  byte_recv_counts_.resize(p);
-  byte_recv_displs_.resize(p);
-  constexpr std::uint64_t kEsz = sizeof(E);
-  for (std::size_t r = 0; r < p; ++r) {
-    byte_send_counts_[r] = send_counts_[r] * kEsz;
-    byte_send_displs_[r] = send_displs_[r] * kEsz;
-    byte_recv_counts_[r] = recv_counts_[r] * kEsz;
-    byte_recv_displs_[r] = recv_displs_[r] * kEsz;
+  // Persistent plan: window + slot offsets + codec staging set up once
+  // here (collectively), so execute is pure data movement.
+  osc::OscOptions oo;
+  oo.codec = options_.codec;
+  if (oo.codec && workers > 1) {
+    // Shardable codecs split each message across the pool; the rest fall
+    // through to serial inside the decorator. Either way the wire bytes
+    // match the serial encoder exactly.
+    oo.codec = std::make_shared<const ParallelCodec>(
+        oo.codec, &WorkerPool::global(), workers);
   }
-  if constexpr (kReshapeDoubleBased<E>) {
-    // Element views as doubles (complex<double> is two of them).
-    constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
-    wire_send_counts_.resize(p);
-    wire_send_displs_.resize(p);
-    wire_recv_counts_.resize(p);
-    wire_recv_displs_.resize(p);
-    for (std::size_t r = 0; r < p; ++r) {
-      wire_send_counts_[r] = kDbl * send_counts_[r];
-      wire_send_displs_[r] = kDbl * send_displs_[r];
-      wire_recv_counts_[r] = kDbl * recv_counts_[r];
-      wire_recv_displs_[r] = kDbl * recv_displs_[r];
-    }
-    wire_codec_ = options_.codec;
-    if (wire_codec_ && workers_ > 1) {
-      // Shardable codecs split each message across the pool; the rest
-      // fall through to serial inside the decorator. Either way the wire
-      // bytes match the serial encoder exactly.
-      wire_codec_ = std::make_shared<const ParallelCodec>(
-          wire_codec_, &WorkerPool::global(), workers_);
-    }
-    if (options_.codec || options_.backend == ExchangeBackend::kOsc) {
-      // Persistent plan: window + slot offsets + codec staging set up once
-      // here (collectively), so execute() is pure data movement.
-      osc::OscOptions oo;
-      oo.codec = wire_codec_;
-      oo.chunks = options_.osc_chunks;
-      oo.gpus_per_node = options_.gpus_per_node;
-      oo.sync = options_.osc_sync;
-      oo.workers = workers_;
-      oo.batch = options_.batch;
-      oo.parity = options_.exchange_parity;
-      oo.fault_plan = options_.fault_plan;
-      if (tuned_) oo.fused = tuned_->fused();
-      const osc::PlanBackend backend =
-          tuned_ ? tuned_->plan_backend()
-                 : (options_.backend == ExchangeBackend::kOsc
-                        ? osc::PlanBackend::kOneSided
-                        : osc::PlanBackend::kTwoSided);
-      const std::span<double> recv_view(
-          reinterpret_cast<double*>(recvbuf_.data()), kDbl * recvbuf_.size());
-      plan_ = std::make_unique<osc::ExchangePlan>(
-          comm_, backend, wire_send_counts_, wire_send_displs_,
-          wire_recv_counts_, wire_recv_displs_, recv_view, oo);
-    }
-  }
-}
-
-template <typename E>
-void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
-  const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
-  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-  LFFT_REQUIRE(in.size() == static_cast<std::size_t>(my_in.count()),
-               "reshape: input span size mismatch");
-  LFFT_REQUIRE(out.size() == static_cast<std::size_t>(my_out.count()),
-               "reshape: output span size mismatch");
-  const Stopwatch watch;
-
-  // Pack per-destination sub-volumes (skipped entirely when the pack stage
-  // elided: the exchange reads the field directly). Destinations write
-  // disjoint staging slices, so they fan out across workers without
-  // coordination.
-  if (!pack_elided_) {
-    const auto pack_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t r = lo; r < hi; ++r) {
-        if (send_counts_[r] == 0) continue;
-        pack_subvolume(my_in, send_boxes_[r], in.data(),
-                       sendbuf_.data() + send_displs_[r]);
-      }
-    };
-    if (pack_shards_ > 1) {
-      WorkerPool::global().parallel_for(send_boxes_.size(), 1, pack_range,
-                                        pack_shards_);
-    } else {
-      pack_range(0, send_boxes_.size());
-    }
-  }
-  const E* send_base = pack_elided_ ? in.data() : sendbuf_.data();
-
-  // Exchange.
-  bool exchanged = false;
-  if constexpr (kReshapeDoubleBased<E>) {
-    if (plan_) {
-      exchanged = true;
-      constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
-      // Bank 0 of the (possibly batch-sized) staging: the plan's
-      // single-field execute expects exactly one field image.
-      const std::span<const double> send_view(
-          reinterpret_cast<const double*>(send_base),
-          static_cast<std::size_t>(kDbl * send_total_));
-      const std::span<double> recv_view(
-          reinterpret_cast<double*>(recvbuf_.data()),
-          static_cast<std::size_t>(kDbl * recv_total_));
-      const auto st = plan_->execute(send_view, recv_view);
-      stats_.accumulate(st);
-    }
-  }
-  if (!exchanged) {
-    // Raw two-sided path (also the only path for float-based fields).
-    const std::uint64_t sent = send_total_ * sizeof(E);
-    stats_.payload_bytes += sent;
-    stats_.wire_bytes += sent;
-    stats_.rounds += comm_.size();
-    stats_.messages += comm_.size() - 1;
-    if (fused_raw_) {
-      // Exchange and unpack are one pass; recvbuf_ does not exist.
-      execute_raw_fused(in, out);
-      stats_.seconds += watch.seconds();
-      return;
-    }
-    minimpi::alltoallv(comm_,
-                       std::as_bytes(std::span<const E>(
-                           send_base, static_cast<std::size_t>(send_total_))),
-                       byte_send_counts_, byte_send_displs_,
-                       std::as_writable_bytes(std::span<E>(recvbuf_)),
-                       byte_recv_counts_, byte_recv_displs_,
-                       options_.backend == ExchangeBackend::kLinear
-                           ? minimpi::AlltoallAlgorithm::kLinear
-                           : minimpi::AlltoallAlgorithm::kPairwise);
-  }
-
-  // Unpack: sources read disjoint staging slices and write disjoint
-  // sub-volumes of `out`.
-  const auto unpack_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      if (recv_counts_[r] == 0) continue;
-      unpack_subvolume(my_out, recv_boxes_[r], out.data(),
-                       recvbuf_.data() + recv_displs_[r]);
-    }
-  };
-  if (unpack_shards_ > 1) {
-    WorkerPool::global().parallel_for(recv_boxes_.size(), 1, unpack_range,
-                                      unpack_shards_);
-  } else {
-    unpack_range(0, recv_boxes_.size());
-  }
-  stats_.seconds += watch.seconds();
+  oo.chunks = options_.osc_chunks;
+  oo.gpus_per_node = options_.gpus_per_node;
+  oo.sync = options_.osc_sync;
+  oo.workers = workers;
+  oo.batch = options_.batch;
+  oo.parity = options_.exchange_parity;
+  oo.fault_plan = options_.fault_plan;
+  const osc::PlanBackend backend =
+      tuned_ ? tuned_->plan_backend()
+             : (options_.backend == ExchangeBackend::kOsc
+                    ? osc::PlanBackend::kOneSided
+                    : osc::PlanBackend::kTwoSided);
+  plan_ = std::make_unique<osc::ExchangePlan>(
+      comm_, backend, sizeof(E), send_counts_, send_displs_, recv_counts_,
+      recv_displs_, std::as_writable_bytes(std::span<E>(recvbuf_)), oo);
 }
 
 template <typename E>
@@ -380,123 +218,60 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
   const auto in_ext = static_cast<std::size_t>(my_in.count());
   const auto out_ext = static_cast<std::size_t>(my_out.count());
   LFFT_REQUIRE(in.size() == nf * in_ext,
-               "reshape: batch input must hold `fields` field images");
+               "reshape: input must hold `fields` field images");
   LFFT_REQUIRE(out.size() == nf * out_ext,
-               "reshape: batch output must hold `fields` field images");
+               "reshape: output must hold `fields` field images");
+  const Stopwatch watch;
+  const auto p = send_boxes_.size();
 
-  // Unplanned paths (raw two-sided, float-based fields) have no
-  // synchronization epoch to amortize: the batch is a per-field loop.
-  if (!plan_ || fields == 1) {
-    for (std::size_t f = 0; f < nf; ++f) {
-      execute(in.subspan(f * in_ext, in_ext), out.subspan(f * out_ext, out_ext));
-    }
-    return;
-  }
-
-  if constexpr (kReshapeDoubleBased<E>) {
-    const Stopwatch watch;
-    const auto p = send_boxes_.size();
-
-    // Pack every field into its staging bank; (field, destination) items
-    // write disjoint slices, so the whole batch fans out at once. An
-    // elided pack skips this wholesale: the field banks in `in` already
-    // have the bank stride (in_ext == send_total_) and the field-linear
-    // displacements the exchange addresses with.
-    if (!pack_elided_) {
-      const auto pack_item = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t f = k / p;
-          const std::size_t r = k % p;
-          if (send_counts_[r] == 0) continue;
-          pack_subvolume(my_in, send_boxes_[r], in.data() + f * in_ext,
-                         sendbuf_.data() + f * send_total_ + send_displs_[r]);
-        }
-      };
-      if (pack_shards_ > 1) {
-        WorkerPool::global().parallel_for(nf * p, 1, pack_item, pack_shards_);
-      } else {
-        pack_item(0, nf * p);
-      }
-    }
-
-    // One batched exchange: all field banks travel under a single fence /
-    // PSCW handshake sequence.
-    constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
-    const std::span<const double> send_view(
-        reinterpret_cast<const double*>(pack_elided_ ? in.data()
-                                                     : sendbuf_.data()),
-        static_cast<std::size_t>(kDbl * send_total_) * nf);
-    const std::span<double> recv_view(
-        reinterpret_cast<double*>(recvbuf_.data()),
-        static_cast<std::size_t>(kDbl * recv_total_) * nf);
-    const auto st = plan_->execute_batch(send_view, recv_view, fields);
-    stats_.accumulate(st);
-
-    const auto unpack_item = [&](std::size_t lo, std::size_t hi) {
+  // Pack every field into its staging bank; (field, destination) items
+  // write disjoint slices, so the whole batch fans out at once. An elided
+  // pack skips this wholesale: the field banks in `in` already have the
+  // bank stride (in_ext == send_total_) and the field-linear displacements
+  // the exchange addresses with.
+  if (!pack_elided_) {
+    const auto pack_item = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t k = lo; k < hi; ++k) {
         const std::size_t f = k / p;
         const std::size_t r = k % p;
-        if (recv_counts_[r] == 0) continue;
-        unpack_subvolume(my_out, recv_boxes_[r], out.data() + f * out_ext,
-                         recvbuf_.data() + f * recv_total_ + recv_displs_[r]);
+        if (send_counts_[r] == 0) continue;
+        pack_subvolume(my_in, send_boxes_[r], in.data() + f * in_ext,
+                       sendbuf_.data() + f * send_total_ + send_displs_[r]);
       }
     };
-    if (unpack_shards_ > 1) {
-      WorkerPool::global().parallel_for(nf * p, 1, unpack_item,
-                                        unpack_shards_);
+    if (pack_shards_ > 1) {
+      WorkerPool::global().parallel_for(nf * p, 1, pack_item, pack_shards_);
     } else {
-      unpack_item(0, nf * p);
+      pack_item(0, nf * p);
     }
-    stats_.seconds += watch.seconds();
-  }
-}
-
-template <typename E>
-void Reshape<E>::execute_raw_fused(std::span<const E> in, std::span<E> out) {
-  // Pairwise rounds with the unpack fused into the receive: recv_consume
-  // hands us the message payload in place — the sender's sendbuf_ slice for
-  // rendezvous messages, the pooled envelope for eager ones — and we scatter
-  // its rows straight into `out`. The staged path's recvbuf_ copy is gone;
-  // results are byte-identical (same rows, same sources, one fewer hop).
-  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-  const int p = comm_.size();
-  const auto me = static_cast<std::size_t>(rank_);
-  // Send source: the field itself when the pack stage elided (a contiguous
-  // sub-volume's packed bytes *are* its field bytes at the linear offset).
-  const std::span<const E> send_span(
-      pack_elided_ ? in.data() : sendbuf_.data(),
-      static_cast<std::size_t>(send_total_));
-
-  // Self overlap: unpack directly from the (real or elided) send staging.
-  if (recv_counts_[me] > 0) {
-    unpack_subvolume(my_out, recv_boxes_[me], out.data(),
-                     send_span.data() + send_displs_[me]);
   }
 
-  for (int j = 1; j < p; ++j) {
-    const auto dst = static_cast<std::size_t>((rank_ + j) % p);
-    const auto src = static_cast<std::size_t>((rank_ - j + p) % p);
-    minimpi::Comm::Request req;
-    bool sent = false;
-    if (byte_send_counts_[dst] > 0) {
-      req = comm_.isend(
-          std::as_bytes(send_span)
-              .subspan(byte_send_displs_[dst], byte_send_counts_[dst]),
-          static_cast<int>(dst), kReshapeFusedTag);
-      sent = true;
+  // One exchange: all field banks travel under a single fence / PSCW
+  // handshake sequence.
+  const std::span<const E> send =
+      pack_elided_ ? in : std::span<const E>(sendbuf_.data(), nf * send_total_);
+  stats_.accumulate(plan_->execute_batch(
+      std::as_bytes(send),
+      std::as_writable_bytes(std::span<E>(recvbuf_.data(), nf * recv_total_)),
+      fields));
+
+  // Unpack: (field, source) items read disjoint staging slices and write
+  // disjoint sub-volumes of `out`.
+  const auto unpack_item = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t f = k / p;
+      const std::size_t r = k % p;
+      if (recv_counts_[r] == 0) continue;
+      unpack_subvolume(my_out, recv_boxes_[r], out.data() + f * out_ext,
+                       recvbuf_.data() + f * recv_total_ + recv_displs_[r]);
     }
-    if (byte_recv_counts_[src] > 0) {
-      comm_.recv_consume(
-          static_cast<int>(src), kReshapeFusedTag,
-          [&](std::span<const std::byte> payload) {
-            LFFT_REQUIRE(payload.size() == byte_recv_counts_[src],
-                         "reshape: fused raw payload size mismatch");
-            unpack_subvolume_bytes(my_out, recv_boxes_[src], out.data(),
-                                   payload.data());
-          });
-    }
-    if (sent) comm_.wait(req);
+  };
+  if (unpack_shards_ > 1) {
+    WorkerPool::global().parallel_for(nf * p, 1, unpack_item, unpack_shards_);
+  } else {
+    unpack_item(0, nf * p);
   }
+  stats_.seconds += watch.seconds();
 }
 
 template class Reshape<float>;

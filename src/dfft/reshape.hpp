@@ -4,16 +4,19 @@
 //
 // Planning is local: every rank derives the full source and destination box
 // lists from the decomposition functions, intersects them, and packs the
-// overlaps. Execution goes through one of three exchange backends:
-//   kPairwise / kLinear — two-sided minimpi alltoallv (the classical
-//                         MPI_Alltoallv baselines), optionally compressed;
-//   kOsc               — the paper's one-sided ring with pipelined
-//                         compression (Algorithm 3).
+// overlaps. Execution is one path — pack, one osc::ExchangePlan exchange,
+// unpack — whose plan drives one of two transports:
+//   kPairwise — the classical two-sided pairwise exchange (minimpi
+//               pairwise all-to-all raw, or the plan's codec-fused
+//               rendezvous);
+//   kOsc      — the paper's one-sided ring with pipelined compression
+//               (Algorithm 3).
 //
 // The element type E is any trivially-copyable cell: complex<double> for
 // the c2c transform, double for the real stage of the r2c transform, and
-// the float variants for the FP32 reference runs. Codecs apply only to
-// double-based elements (the wire views them as a stream of doubles).
+// the float variants for the FP32 reference runs. The plan moves raw bytes
+// of any element size; codecs apply only to double-based elements (the
+// wire views them as a stream of doubles).
 #pragma once
 
 #include <complex>
@@ -32,7 +35,9 @@
 
 namespace lossyfft {
 
-enum class ExchangeBackend { kPairwise, kLinear, kOsc };
+/// Values are pinned: the C API and the serve wire carry them as numbers
+/// (1 was the retired linear two-sided baseline).
+enum class ExchangeBackend { kPairwise = 0, kOsc = 2 };
 
 const char* to_string(ExchangeBackend b);
 
@@ -48,19 +53,10 @@ struct ReshapeOptions {
   /// construction through the model-guided tuner (src/tuner/): rank 0
   /// resolves the exchange signature against its calibrated cost model
   /// (or the LOSSYFFT_TUNE_CACHE persistent cache) and broadcasts the
-  /// decision — sync mode, one-/two-sided path, fused/staged codec
-  /// placement, and worker fan-out — so all ranks build the identical
-  /// plan. Results are byte-identical to any fixed configuration; only
-  /// speed changes. kAuto on an unplanned path (raw two-sided, float
-  /// fields) is inert.
+  /// decision — sync mode, one-/two-sided path, worker fan-out and
+  /// parity — so all ranks build the identical plan. Results are
+  /// byte-identical to any fixed configuration; only speed changes.
   osc::OscSync osc_sync = osc::OscSync::kFence;
-  /// Raw two-sided kPairwise path (no codec): fuse the receive-side unpack
-  /// into the transport — recv_consume reads each sub-volume straight from
-  /// the sender's published buffer (rendezvous) or the eager envelope, so
-  /// nothing stages through recvbuf_ and the buffer is never allocated.
-  /// false selects the staged alltoallv baseline; results are
-  /// byte-identical either way (reshape_test locks this down).
-  bool fused_raw = true;
   /// Pack elision: when every nonzero sub-volume this rank sends occupies
   /// one contiguous run of its source field (subvolume_contiguous), the
   /// pack stage is a pure identity copy — skip it. Send displacements
@@ -88,8 +84,9 @@ struct ReshapeOptions {
   /// m > 0 makes the planned exchange ship m erasure-coded parity frames
   /// alongside each round's data so targets reconstruct up to m missing /
   /// late / corrupt arrivals. Zero-fault coded runs are byte-identical to
-  /// uncoded. Ignored on unplanned paths. Under kAuto the tuner's parity
-  /// pick overrides a 0 here.
+  /// uncoded. The coded wire frames doubles, so fields whose per-peer
+  /// byte counts are not multiples of 8 (odd float counts) reject it.
+  /// Under kAuto the tuner's parity pick overrides a 0 here.
   int exchange_parity = 0;
   /// Deterministic fault-injection plan threaded into the planned
   /// exchange's transport (tests; OscOptions::fault_plan). Must outlive
@@ -111,11 +108,11 @@ class Reshape {
   /// (r = comm rank). Box lists must cover disjointly; this rank's boxes
   /// are all_in[comm.rank()] / all_out[comm.rank()].
   ///
-  /// For the codec and kOsc paths the constructor builds a persistent
-  /// osc::ExchangePlan (cached window + hoisted offset exchange + pinned
-  /// codec staging), which makes construction and destruction *collective*
-  /// on those paths: every rank must create and destroy its Reshapes in
-  /// the same order, which Fft3d's symmetric plan setup already does.
+  /// The constructor builds the persistent osc::ExchangePlan (cached
+  /// window + hoisted offset exchange + pinned codec staging), which makes
+  /// construction and destruction *collective*: every rank must create
+  /// and destroy its Reshapes in the same order, which Fft3d's symmetric
+  /// plan setup already does.
   Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
           std::vector<Box3> all_out, ReshapeOptions options);
 
@@ -126,40 +123,39 @@ class Reshape {
 
   /// Execute: `in` holds inbox().count() elements, `out` receives
   /// outbox().count(). Collective.
-  void execute(std::span<const E> in, std::span<E> out);
+  void execute(std::span<const E> in, std::span<E> out) {
+    execute_batch(in, out, 1);
+  }
 
   /// Redistribute `fields` same-layout fields
   /// (1 <= fields <= options.batch) in one exchange epoch. `in` holds
   /// `fields` consecutive inbox().count()-element images; `out` receives
-  /// the matching outbox().count()-element images. On the planned paths
-  /// every field is packed into its staging bank, the plan exchanges all
-  /// banks under a single fence / PSCW handshake sequence, and all banks
-  /// unpack — synchronization cost is per batch, not per field. Results
-  /// are identical to `fields` back-to-back execute() calls. Collective.
+  /// the matching outbox().count()-element images. Every field is packed
+  /// into its staging bank, the plan exchanges all banks under a single
+  /// fence / PSCW handshake sequence, and all banks unpack —
+  /// synchronization cost is per batch, not per field. Results are
+  /// identical to `fields` back-to-back execute() calls. Collective.
   void execute_batch(std::span<const E> in, std::span<E> out, int fields);
 
   /// Exchange statistics accumulated over all execute() calls on this rank.
   const osc::ExchangeStats& stats() const { return stats_; }
 
   /// Accumulated per-source arrival lag from the underlying plan
-  /// (ExchangePlan::source_lag_seconds); empty on unplanned paths, which
-  /// have no per-source completion events to stamp.
+  /// (ExchangePlan::source_lag_seconds).
   std::span<const double> source_lag_seconds() const {
-    return plan_ ? plan_->source_lag_seconds() : std::span<const double>{};
+    return plan_->source_lag_seconds();
   }
 
   /// Resident bytes of this reshape's staging buffers plus its plan's
   /// pinned footprint — the per-reshape cost a byte-budgeted plan cache
   /// charges.
   std::uint64_t footprint_bytes() const {
-    std::uint64_t b =
-        (sendbuf_.capacity() + recvbuf_.capacity()) * sizeof(E);
-    if (plan_) b += plan_->footprint_bytes();
-    return b;
+    return (sendbuf_.capacity() + recvbuf_.capacity()) * sizeof(E) +
+           plan_->footprint_bytes();
   }
 
-  /// The tuner decision applied at construction when osc_sync was kAuto on
-  /// a planned path; empty otherwise (fixed config, or nothing to tune).
+  /// The tuner decision applied at construction when osc_sync was kAuto;
+  /// empty for a fixed configuration.
   const std::optional<tuner::TuneDecision>& tuned_decision() const {
     return tuned_;
   }
@@ -175,47 +171,31 @@ class Reshape {
   std::vector<Box3> all_out_;
   ReshapeOptions options_;
 
-  // Precomputed overlap metadata (counts/displs in elements), plus the
-  // unit-scaled variants execute() hands to the exchange layer: double
-  // units for the codec/OSC path, bytes for the raw two-sided path. All
-  // hoisted here so execute() allocates nothing in steady state.
+  // Precomputed overlap metadata (counts/displs in elements), hoisted here
+  // so execute allocates nothing in steady state. The plan scales the
+  // counts to its own wire units once, at construction.
   std::vector<Box3> send_boxes_, recv_boxes_;
   std::vector<std::uint64_t> send_counts_, send_displs_;
   std::vector<std::uint64_t> recv_counts_, recv_displs_;
-  std::vector<std::uint64_t> wire_send_counts_, wire_send_displs_;
-  std::vector<std::uint64_t> wire_recv_counts_, wire_recv_displs_;
-  std::vector<std::uint64_t> byte_send_counts_, byte_send_displs_;
-  std::vector<std::uint64_t> byte_recv_counts_, byte_recv_displs_;
   std::uint64_t send_total_ = 0, recv_total_ = 0;
 
-  /// options_.codec wrapped in ParallelCodec when workers_ > 1.
-  CodecPtr wire_codec_;
-  /// Resolved shard count (>= 1) from ReshapeOptions::workers.
-  int workers_ = 1;
-  /// Pack/unpack fan-outs: workers_ clamped by the bytes-per-shard floor
-  /// (WorkerPool::effective_shards) against this plan's staging totals, so
-  /// small reshapes stay serial where fan-out overhead dominates.
+  /// Pack/unpack fan-outs: the resolved worker count clamped by the
+  /// bytes-per-shard floor (WorkerPool::effective_shards) against this
+  /// plan's staging totals, so small reshapes stay serial where fan-out
+  /// overhead dominates.
   int pack_shards_ = 1, unpack_shards_ = 1;
-  /// Resolved at construction: the raw pairwise exchange runs fused
-  /// (recv_consume straight into `out`; recvbuf_ stays unallocated).
-  bool fused_raw_ = false;
   /// Resolved at construction: every send sub-volume is contiguous in the
-  /// source field, so execute() skips packing and exchanges out of `in`
+  /// source field, so execute skips packing and exchanges out of `in`
   /// via field-linear send displacements (sendbuf_ stays unallocated).
   bool pack_elided_ = false;
-  /// The tuner's broadcast decision when osc_sync was kAuto on a planned
-  /// path (overrides backend / fused / workers at plan construction).
+  /// The tuner's broadcast decision when osc_sync was kAuto (overrides
+  /// backend / sync / workers / parity at plan construction).
   std::optional<tuner::TuneDecision> tuned_;
 
-  /// The fused raw exchange: pairwise isend/recv_consume rounds that unpack
-  /// each source's sub-volume directly from the sender's buffer into `out`.
-  /// `in` is the send source when the pack stage elided (sendbuf_ otherwise).
-  void execute_raw_fused(std::span<const E> in, std::span<E> out);
-
   std::vector<E> sendbuf_, recvbuf_;
-  /// Persistent exchange plan (codec / kOsc paths; null otherwise). Pins a
-  /// double view of recvbuf_, and in raw one-sided mode exposes it as the
-  /// RMA window — declared after recvbuf_ so the window dies first.
+  /// The persistent exchange plan. Pins recvbuf_ (`batch` field banks),
+  /// and in raw one-sided mode exposes it as the RMA window — declared
+  /// after recvbuf_ so the window dies first.
   std::unique_ptr<osc::ExchangePlan> plan_;
   osc::ExchangeStats stats_;
 };

@@ -47,14 +47,26 @@ double now_seconds() {
       .count();
 }
 
+// Double views of byte spans on codec plans (the constructor and
+// execute_batch check 8-byte extents and alignment).
+std::span<const double> as_doubles(std::span<const std::byte> b) {
+  return {reinterpret_cast<const double*>(b.data()),
+          b.size() / sizeof(double)};
+}
+std::span<double> as_doubles(std::span<std::byte> b) {
+  return {reinterpret_cast<double*>(b.data()), b.size() / sizeof(double)};
+}
+
 }  // namespace
 
 ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+                           std::size_t elem_bytes,
                            std::span<const std::uint64_t> sendcounts,
                            std::span<const std::uint64_t> senddispls,
                            std::span<const std::uint64_t> recvcounts,
                            std::span<const std::uint64_t> recvdispls,
-                           std::span<double> recv, const OscOptions& options)
+                           std::span<std::byte> recv,
+                           const OscOptions& options)
     : comm_(comm),
       options_(options),
       backend_(backend),
@@ -62,11 +74,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
       codec_(options.codec ? options.codec
                            : std::make_shared<const IdentityCodec>()),
       p_(comm.size()),
-      recv_pinned_(recv),
-      sendcounts_(sendcounts.begin(), sendcounts.end()),
-      senddispls_(senddispls.begin(), senddispls.end()),
-      recvcounts_(recvcounts.begin(), recvcounts.end()),
-      recvdispls_(recvdispls.begin(), recvdispls.end()) {
+      recv_pinned_(recv) {
   LFFT_REQUIRE(options_.sync != OscSync::kAuto,
                "ExchangePlan: OscSync::kAuto must be resolved (tuner) "
                "before plan construction");
@@ -85,16 +93,35 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   if (coded_) {
     LFFT_REQUIRE(options_.parity >= 0 && options_.parity <= coded::kMaxParity,
                  "ExchangePlan: parity must be in [0, coded::kMaxParity]");
-    LFFT_REQUIRE(backend_ != PlanBackend::kTwoSided || options_.fused,
-                 "ExchangePlan: coded two-sided exchange requires the fused "
-                 "path (OscOptions::fused)");
     parity_ = options_.parity;
     raw_ = false;
   }
+  // Scale the caller's element counts to wire elements once: bytes on raw
+  // plans, doubles on codec and coded plans (codec, chunk, slot-header and
+  // frame arithmetic below all run in double units).
+  unit_ = raw_ ? 1 : sizeof(double);
+  const auto scale = [&](std::span<const std::uint64_t> in,
+                         std::vector<std::uint64_t>& out) {
+    out.resize(p);
+    for (std::size_t i = 0; i < p; ++i) {
+      const std::uint64_t bytes = in[i] * elem_bytes;
+      LFFT_REQUIRE(bytes % unit_ == 0,
+                   "ExchangePlan: codec and coded exchanges need 8-byte-"
+                   "multiple counts and displacements");
+      out[i] = bytes / unit_;
+    }
+  };
+  scale(sendcounts, sendcounts_);
+  scale(senddispls, senddispls_);
+  scale(recvcounts, recvcounts_);
+  scale(recvdispls, recvdispls_);
   batch_ = options_.batch;
   LFFT_REQUIRE(batch_ >= 1, "ExchangePlan: batch capacity must be >= 1");
-  LFFT_REQUIRE(recv.size() % static_cast<std::size_t>(batch_) == 0,
+  LFFT_REQUIRE(recv.size() % (static_cast<std::size_t>(batch_) * unit_) == 0,
                "ExchangePlan: pinned recv must hold `batch` equal fields");
+  LFFT_REQUIRE(reinterpret_cast<std::uintptr_t>(recv.data()) % unit_ == 0,
+               "ExchangePlan: codec and coded exchanges need an 8-aligned "
+               "receive span");
   recv_extent_ = recv.size() / static_cast<std::size_t>(batch_);
 
   // Arrival-skew scratch (pre-sized: stamping allocates nothing).
@@ -104,7 +131,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   std::uint64_t payload = 0;
   for (const std::uint64_t c : sendcounts_) payload += c;
   workers_ = WorkerPool::effective_shards(
-      options_.workers, static_cast<std::size_t>(payload) * sizeof(double));
+      options_.workers, static_cast<std::size_t>(payload * unit_));
 
   // Per-message chunk count (fixed codecs): user value, or the Section V-B
   // pipeline model's pick for that message size. Deterministic from counts,
@@ -122,11 +149,10 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   send_wire_cap_.resize(p);
   recv_wire_cap_.resize(p);
   send_wire_.resize(p);
-  recv_wire_.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
-      send_wire_cap_[i] = sendcounts_[i] * sizeof(double);
-      recv_wire_cap_[i] = recvcounts_[i] * sizeof(double);
+      send_wire_cap_[i] = sendcounts_[i];
+      recv_wire_cap_[i] = recvcounts_[i];
     } else if (fixed_) {
       std::uint64_t s = 0;
       for (const std::uint64_t c :
@@ -145,15 +171,12 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
       recv_wire_cap_[i] = codec_->max_compressed_bytes(recvcounts_[i]);
     }
     send_wire_[i] = send_wire_cap_[i];
-    recv_wire_[i] = recv_wire_cap_[i];
   }
 
   // Capacity-prefix staging offsets (shared by one-sided variable staging
   // and the whole two-sided send slab).
   stage_off_.resize(p);
-  rstage_off_.resize(p);
   std::uint64_t s_total = 0;
-  std::uint64_t r_total = 0;
   // Coded staging frames carry the checksum (one-sided: [csum][payload])
   // or the whole frame (two-sided: [header][csum][payload]) ahead of the
   // payload; grant every destination the frame prefix and keep offsets
@@ -163,25 +186,13 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     stage_off_[i] = s_total;
     s_total += send_wire_cap_[i] + spad;
     if (coded_) s_total = align8(s_total);
-    rstage_off_[i] = r_total;
-    r_total += recv_wire_cap_[i];
   }
 
   if (backend_ == PlanBackend::kTwoSided) {
-    if (raw_) {
-      byte_sc_.resize(p);
-      byte_sd_.resize(p);
-      byte_rc_.resize(p);
-      byte_rd_.resize(p);
-      for (std::size_t i = 0; i < p; ++i) {
-        byte_sc_[i] = sendcounts_[i] * sizeof(double);
-        byte_sd_[i] = senddispls_[i] * sizeof(double);
-        byte_rc_[i] = recvcounts_[i] * sizeof(double);
-        byte_rd_[i] = recvdispls_[i] * sizeof(double);
-      }
-    } else {
+    // Raw plans hand their byte spans to alltoallv directly; codec plans
+    // stage every destination at capacity offsets.
+    if (!raw_) {
       stage_.resize(s_total);
-      if (!options_.fused) rstage_.resize(r_total);
       if (coded_ && parity_ > 0) {
         // Parity replica slab, reused per pairwise partner: m clean
         // copies of the largest data frame can be in flight at once.
@@ -206,7 +217,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   std::uint64_t window_bytes = 0;
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
-      slot_offset_[i] = recvdispls_[i] * sizeof(double);
+      slot_offset_[i] = recvdispls_[i];
       continue;
     }
     slot_offset_[i] = window_bytes;
@@ -252,7 +263,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // (their own capacities), so senders learn each target's stride with one
   // more construction-time u64 all-to-all — steady state stays
   // collective-free.
-  bank_stride_ = raw_ ? recv_extent_ * sizeof(double) : window_bytes;
+  bank_stride_ = raw_ ? recv_extent_ : window_bytes;
   if (batch_ > 1) {
     const std::vector<std::uint64_t> mine(p, bank_stride_);
     target_bank_stride_.resize(p);
@@ -264,8 +275,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
 
   window_store_.resize(window_bytes * static_cast<std::size_t>(batch_));
   win_ = std::make_unique<minimpi::Window>(
-      comm_, raw_ ? std::as_writable_bytes(recv_pinned_)
-                  : std::span<std::byte>(window_store_));
+      comm_, raw_ ? recv_pinned_ : std::span<std::byte>(window_store_));
   if (coded_) win_->set_fault_plan(options_.fault_plan);
 
   rounds_ = ring_targets(p_, options_.gpus_per_node, comm_.rank());
@@ -382,19 +392,9 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
 
 ExchangePlan::~ExchangePlan() = default;
 
-ExchangeStats ExchangePlan::execute(std::span<const double> send,
-                                    std::span<double> recv) {
-  LFFT_REQUIRE(recv.data() == recv_pinned_.data() &&
-                   recv.size() == recv_extent_,
-               "ExchangePlan::execute: recv must be the first field of the "
-               "span pinned at plan construction");
-  return backend_ == PlanBackend::kOneSided
-             ? execute_one_sided(send, recv, 1)
-             : execute_two_sided(send, recv);
-}
-
-ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
-                                          std::span<double> recv, int fields) {
+ExchangeStats ExchangePlan::execute_batch(std::span<const std::byte> send,
+                                          std::span<std::byte> recv,
+                                          int fields) {
   LFFT_REQUIRE(fields >= 1 && fields <= batch_,
                "ExchangePlan::execute_batch: fields must be in [1, batch]");
   LFFT_REQUIRE(recv.data() == recv_pinned_.data() &&
@@ -402,9 +402,10 @@ ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
                        recv_extent_ * static_cast<std::size_t>(fields),
                "ExchangePlan::execute_batch: recv must be the leading "
                "`fields` banks of the pinned span");
-  LFFT_REQUIRE(send.size() % static_cast<std::size_t>(fields) == 0,
+  LFFT_REQUIRE(send.size() % (static_cast<std::size_t>(fields) * unit_) == 0 &&
+                   reinterpret_cast<std::uintptr_t>(send.data()) % unit_ == 0,
                "ExchangePlan::execute_batch: send must hold `fields` equal "
-               "field images");
+               "field images (8-aligned on codec plans)");
   if (backend_ == PlanBackend::kOneSided) {
     return execute_one_sided(send, recv, fields);
   }
@@ -426,16 +427,20 @@ ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
   return stats;
 }
 
-ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
-                                              std::span<double> recv,
+ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
+                                              std::span<std::byte> recv,
                                               int fields) {
   const auto nf = static_cast<std::size_t>(fields);
-  const std::size_t sext = send.size() / nf;  // Per-field send extent.
-  const auto field_send = [&](std::size_t f) {
+  const std::size_t sext = send.size() / nf;  // Per-field send bytes.
+  const auto field_bytes = [&](std::size_t f) {
     return send.subspan(f * sext, sext);
   };
+  // Codec plans encode from and decode into double views of the fields.
+  const auto field_send = [&](std::size_t f) {
+    return as_doubles(field_bytes(f));
+  };
   const auto field_recv = [&](std::size_t f) {
-    return recv.subspan(f * recv_extent_, recv_extent_);
+    return as_doubles(recv.subspan(f * recv_extent_, recv_extent_));
   };
   // Field f's bank displacement on peer d's window (0 for field 0, so the
   // single-field path never touches target_bank_stride_, which batch == 1
@@ -549,7 +554,8 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
     // run sequentially so the fixed-codec round slab can be recycled (puts
     // are synchronous copies, so reuse after put is safe).
     for (std::size_t f = 0; f < nf; ++f) {
-      const std::span<const double> fsend = field_send(f);
+      const std::span<const double> fsend =
+          raw_ ? std::span<const double>{} : field_send(f);
       if (pipelined) {
         // Hand the whole round to the pool: chunk k+1 compresses while
         // chunk k is being put — Section V-B's stream overlap executed for
@@ -571,15 +577,15 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
       for (const int dst : round) {
         const auto d = static_cast<std::size_t>(dst);
         const std::uint64_t count = sendcounts_[d];
-        stats.payload_bytes += count * sizeof(double);
+        stats.payload_bytes += count * unit_;
         if (count == 0) continue;
         ++stats.messages;
         if (raw_) {
           // One direct store from the send payload into the peer's receive
           // buffer: the only copy this exchange makes for the message.
-          win_->put(std::as_bytes(fsend.subspan(senddispls_[d], count)), dst,
+          win_->put(field_bytes(f).subspan(senddispls_[d], count), dst,
                     target_offset_[d] + bank_off(d, f));
-          stats.wire_bytes += count * sizeof(double);
+          stats.wire_bytes += count;
           ++stats.chunks_issued;
           continue;
         }
@@ -956,77 +962,23 @@ void ExchangePlan::rethrow_decode_error() {
   }
 }
 
-ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
-                                              std::span<double> recv) {
-  const auto p = static_cast<std::size_t>(p_);
+ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
+                                              std::span<std::byte> recv) {
+  if (!raw_) {
+    return coded_ ? execute_two_sided_coded(as_doubles(send), as_doubles(recv))
+                  : execute_two_sided_fused(as_doubles(send), as_doubles(recv));
+  }
+  // Raw: hand the byte spans to alltoallv directly — with the rendezvous
+  // transport each message is a single receiver-side copy.
   ExchangeStats stats;
   stats.rounds = p_;
-
-  if (raw_) {
-    // Raw: hand the payload spans to alltoallv directly — with the
-    // rendezvous transport each message is a single receiver-side copy.
-    for (std::size_t i = 0; i < p; ++i) {
-      stats.payload_bytes += byte_sc_[i];
-      stats.wire_bytes += byte_sc_[i];
-      if (sendcounts_[i] > 0) ++stats.messages;
-    }
-    minimpi::alltoallv(comm_, std::as_bytes(send), byte_sc_, byte_sd_,
-                       std::as_writable_bytes(recv), byte_rc_, byte_rd_,
-                       minimpi::AlltoallAlgorithm::kPairwise);
-    stats.chunks_issued = stats.messages;
-    return stats;
-  }
-
-  if (options_.fused) {
-    return coded_ ? execute_two_sided_coded(send, recv)
-                  : execute_two_sided_fused(send, recv);
-  }
-
-  // --- Unfused baseline: encode all, pairwise alltoallv, decode all -------
-  // Kept selectable (OscOptions::fused = false) as the measured ablation
-  // baseline for the fused path.
-  for (std::size_t i = 0; i < p; ++i) {
-    stats.payload_bytes += sendcounts_[i] * sizeof(double);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(p_); ++i) {
+    stats.payload_bytes += sendcounts_[i];
+    stats.wire_bytes += sendcounts_[i];
     if (sendcounts_[i] > 0) ++stats.messages;
   }
-  const auto compress_dst = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t used = codec_->compress(
-          send.subspan(senddispls_[i], sendcounts_[i]),
-          std::span<std::byte>(stage_.data() + stage_off_[i],
-                               send_wire_cap_[i]));
-      send_wire_[i] = fixed_ ? send_wire_cap_[i] : used;
-    }
-  };
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(p, 1, compress_dst, workers_);
-  } else {
-    compress_dst(0, p);
-  }
-  for (std::size_t i = 0; i < p; ++i) stats.wire_bytes += send_wire_[i];
-  if (!fixed_) {
-    minimpi::alltoall(
-        comm_, std::as_bytes(std::span<const std::uint64_t>(send_wire_)),
-        std::as_writable_bytes(std::span<std::uint64_t>(recv_wire_)),
-        sizeof(std::uint64_t));
-  }
-  minimpi::alltoallv(comm_, stage_, send_wire_, stage_off_, rstage_,
-                     recv_wire_, rstage_off_,
-                     minimpi::AlltoallAlgorithm::kPairwise);
-  const auto decompress_src = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      if (recvcounts_[s] == 0) continue;
-      codec_->decompress(
-          std::span<const std::byte>(rstage_.data() + rstage_off_[s],
-                                     recv_wire_[s]),
-          recv.subspan(recvdispls_[s], recvcounts_[s]));
-    }
-  };
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(p, 1, decompress_src, workers_);
-  } else {
-    decompress_src(0, p);
-  }
+  minimpi::alltoallv(comm_, send, sendcounts_, senddispls_, recv, recvcounts_,
+                     recvdispls_, minimpi::AlltoallAlgorithm::kPairwise);
   stats.chunks_issued = stats.messages;
   return stats;
 }
@@ -1038,9 +990,9 @@ ExchangeStats ExchangePlan::execute_two_sided_fused(
   // plan's pinned staging published zero-copy), decode runs inside
   // recv_consume (straight out of the sender's buffer). One codec pass per
   // direction, no intermediate wire buffers — the two-sided compressed
-  // path at the one-sided raw path's copy count. Wire bytes are identical
-  // to the unfused baseline; peers agree on which pairs exchange because
-  // count knowledge is symmetric.
+  // path at the one-sided raw path's copy count. Received values match the
+  // one-sided paths bit for bit; peers agree on which pairs exchange
+  // because count knowledge is symmetric.
   const auto p = static_cast<std::size_t>(p_);
   const int me = comm_.rank();
   ExchangeStats stats;
@@ -1051,7 +1003,7 @@ ExchangeStats ExchangePlan::execute_two_sided_fused(
   }
 
   // Self message: local codec round trip (kept — the exchange must stay
-  // byte-identical to the staged/one-sided paths, lossiness included).
+  // byte-identical to the one-sided paths, lossiness included).
   const auto m = static_cast<std::size_t>(me);
   if (sendcounts_[m] > 0) {
     std::span<std::byte> staging(stage_.data() + stage_off_[m],
@@ -1279,15 +1231,12 @@ std::uint64_t ExchangePlan::footprint_bytes() const {
   std::uint64_t b = 0;
   b += window_store_.capacity();
   b += stage_.capacity();
-  b += rstage_.capacity();
   b += rec_scratch_.capacity();
   b += pstage_.capacity();
   b += (sendcounts_.capacity() + senddispls_.capacity() +
         recvcounts_.capacity() + recvdispls_.capacity() +
         send_wire_cap_.capacity() + recv_wire_cap_.capacity() +
-        send_wire_.capacity() + recv_wire_.capacity() +
-        stage_off_.capacity() + rstage_off_.capacity() + byte_sc_.capacity() +
-        byte_sd_.capacity() + byte_rc_.capacity() + byte_rd_.capacity() +
+        send_wire_.capacity() + stage_off_.capacity() +
         slot_offset_.capacity() + target_offset_.capacity() +
         target_bank_stride_.capacity() + coded_roff_.capacity() +
         coded_poff_.capacity() + coded_L_.capacity() + rec_off_.capacity()) *
@@ -1296,6 +1245,19 @@ std::uint64_t ExchangePlan::footprint_bytes() const {
   b += unpack_jobs_.capacity() * sizeof(PlanChunk);
   for (const auto& jobs : round_jobs_) b += jobs.capacity() * sizeof(PlanChunk);
   return b;
+}
+
+ExchangeStats transient_alltoallv(minimpi::Comm& comm, PlanBackend backend,
+                                  std::span<const double> send,
+                                  std::span<const std::uint64_t> sendcounts,
+                                  std::span<const std::uint64_t> senddispls,
+                                  std::span<double> recv,
+                                  std::span<const std::uint64_t> recvcounts,
+                                  std::span<const std::uint64_t> recvdispls,
+                                  const OscOptions& options) {
+  ExchangePlan plan(comm, backend, sendcounts, senddispls, recvcounts,
+                    recvdispls, recv, options);
+  return plan.execute(send, recv);
 }
 
 }  // namespace lossyfft::osc

@@ -1,8 +1,15 @@
-// Persistent exchange plans: the per-call setup of osc_alltoallv /
-// compressed_alltoallv hoisted into plan construction, so a repeated
-// exchange (Reshape::execute every FFT iteration) pays only the data
-// movement — the persistent-collective model of Dalcin et al.'s advanced
-// MPI FFT applied to the paper's Algorithm 3.
+// Persistent exchange plans: every all-to-all in the library runs through
+// one, so a repeated exchange (Reshape::execute every FFT iteration) pays
+// only the data movement — the persistent-collective model of Dalcin et
+// al.'s advanced MPI FFT applied to the paper's Algorithm 3.
+//
+// The plan is element-agnostic. Its core takes counts, displacements and
+// spans in bytes (scaled from the caller's element size once, at
+// construction), so raw plans move fields of any element type — float
+// fields with odd per-destination counts included — on both backends.
+// Codec and coded plans view the payload as a stream of doubles: they
+// require 8-byte-multiple counts and displacements and convert to double
+// units once, at construction.
 //
 // A plan pins everything derivable from the counts at construction time:
 //
@@ -11,8 +18,8 @@
 //  * the slot-offset u64 all-to-all, run once at plan time. Slots are laid
 //    out at max_compressed_bytes capacities, so the layout is count-derived
 //    even for variable-rate codecs;
-//  * codec staging slabs, chunk partitions, ring schedule, PSCW source
-//    lists, and byte-unit count/displ arrays.
+//  * codec staging slabs, chunk partitions, ring schedule and PSCW source
+//    lists.
 //
 // Wire format of a codec-mode window slot: one 8-aligned u64 header word
 // followed by the payload at max_compressed_bytes capacity. The header
@@ -36,11 +43,12 @@
 // tests/exchange_plan_test.cpp. (With workers > 1 the pipelined compress /
 // decode jobs allocate their task control blocks on submission.)
 //
-// The two-sided path additionally fuses the codec into the transport
-// (Comm::isend_produce / recv_consume): the sender encodes straight into
-// the eager slab or its pinned staging, and the receiver decodes straight
-// out of the sender's published buffer, collapsing encode+copy+decode to a
-// single pass — the same copy count as the one-sided raw path.
+// The two-sided backend runs raw plans through minimpi::alltoallv and
+// fuses the codec into the transport (Comm::isend_produce /
+// recv_consume): the sender encodes straight into the eager slab or its
+// pinned staging, and the receiver decodes straight out of the sender's
+// published buffer, collapsing encode+copy+decode to a single pass — the
+// same copy count as the one-sided raw path.
 //
 // Construction, execution, and destruction of a one-sided plan are
 // collective over the communicator (window lifecycle + offset exchange):
@@ -71,15 +79,30 @@ enum class PlanBackend {
 class ExchangePlan {
  public:
   /// Collective for kOneSided (offset all-to-all + window creation).
-  /// Counts/displs are in double elements and are copied; `recv` is pinned
-  /// for the plan's lifetime — every execute() must pass the same span
-  /// (raw one-sided mode exposes it as the RMA window).
+  /// Counts/displs are in elements of `elem_bytes` bytes and are copied
+  /// (scaled to bytes once, here); `recv` is pinned for the plan's
+  /// lifetime — every execute must pass the same span (raw one-sided mode
+  /// exposes it as the RMA window). Codec and coded plans (options.codec,
+  /// parity > 0 or a fault plan) require 8-byte-multiple counts, displs and
+  /// extents and an 8-aligned `recv`.
+  ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+               std::size_t elem_bytes,
+               std::span<const std::uint64_t> sendcounts,
+               std::span<const std::uint64_t> senddispls,
+               std::span<const std::uint64_t> recvcounts,
+               std::span<const std::uint64_t> recvdispls,
+               std::span<std::byte> recv, const OscOptions& options);
+
+  /// Double fields: counts/displs in doubles.
   ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                std::span<const std::uint64_t> sendcounts,
                std::span<const std::uint64_t> senddispls,
                std::span<const std::uint64_t> recvcounts,
                std::span<const std::uint64_t> recvdispls,
-               std::span<double> recv, const OscOptions& options);
+               std::span<double> recv, const OscOptions& options)
+      : ExchangePlan(comm, backend, sizeof(double), sendcounts, senddispls,
+                     recvcounts, recvdispls, std::as_writable_bytes(recv),
+                     options) {}
 
   /// Collective for kOneSided (window destruction).
   ~ExchangePlan();
@@ -87,20 +110,26 @@ class ExchangePlan {
   ExchangePlan(const ExchangePlan&) = delete;
   ExchangePlan& operator=(const ExchangePlan&) = delete;
 
-  /// Run the exchange. Collective; `recv` must be the first pinned field
-  /// (the whole pinned span when options.batch == 1). The wire format is
-  /// byte-identical to the per-call free functions.
-  ExchangeStats execute(std::span<const double> send, std::span<double> recv);
-
   /// Exchange `fields` same-layout fields (1 <= fields <= options.batch)
   /// in one synchronization epoch: the one-sided path opens the epoch
   /// once, issues every field's puts per ring round, and closes each round
   /// once — fences and PSCW handshakes are paid per *batch*, not per
   /// field. `send` and `recv` hold `fields` consecutive field images
   /// (`recv` must be the pinned span's leading `fields` banks). Collective;
-  /// received bytes are identical to `fields` back-to-back execute() calls.
+  /// received bytes are identical to `fields` back-to-back single-field
+  /// calls.
+  ExchangeStats execute_batch(std::span<const std::byte> send,
+                              std::span<std::byte> recv, int fields);
   ExchangeStats execute_batch(std::span<const double> send,
-                              std::span<double> recv, int fields);
+                              std::span<double> recv, int fields) {
+    return execute_batch(std::as_bytes(send), std::as_writable_bytes(recv),
+                         fields);
+  }
+  /// One field: `recv` is the first pinned field (the whole pinned span
+  /// when options.batch == 1).
+  ExchangeStats execute(std::span<const double> send, std::span<double> recv) {
+    return execute_batch(send, recv, 1);
+  }
 
   PlanBackend backend() const { return backend_; }
   const OscOptions& options() const { return options_; }
@@ -139,10 +168,10 @@ class ExchangePlan {
     int prow = -1;
   };
 
-  ExchangeStats execute_one_sided(std::span<const double> send,
-                                  std::span<double> recv, int fields);
-  ExchangeStats execute_two_sided(std::span<const double> send,
-                                  std::span<double> recv);
+  ExchangeStats execute_one_sided(std::span<const std::byte> send,
+                                  std::span<std::byte> recv, int fields);
+  ExchangeStats execute_two_sided(std::span<const std::byte> send,
+                                  std::span<std::byte> recv);
   ExchangeStats execute_two_sided_fused(std::span<const double> send,
                                         std::span<double> recv);
   ExchangeStats execute_two_sided_coded(std::span<const double> send,
@@ -174,6 +203,9 @@ class ExchangePlan {
   OscOptions options_;
   PlanBackend backend_;
   bool raw_ = false;    // No codec: direct byte exchange.
+  // Bytes per wire element: 1 on raw plans, sizeof(double) on codec and
+  // coded plans (the codec views the payload as doubles).
+  std::uint64_t unit_ = 1;
   bool fixed_ = false;  // Codec wire sizes are count-derived.
   bool coded_ = false;  // Framed + checksummed wire, parity_ RS chunks.
   int parity_ = 0;      // m parity frames per (source → target) group.
@@ -182,21 +214,20 @@ class ExchangePlan {
   int workers_ = 1;
   int batch_ = 1;  // Field capacity (options.batch).
 
-  std::span<double> recv_pinned_;
-  // Per-field extent of the pinned receive span, in elements
+  std::span<std::byte> recv_pinned_;
+  // Per-field extent of the pinned receive span, in bytes
   // (recv_pinned_.size() / batch_): bank f of recv starts at
   // f * recv_extent_.
   std::uint64_t recv_extent_ = 0;
+  // Counts/displs in wire elements (unit_ bytes each).
   std::vector<std::uint64_t> sendcounts_, senddispls_;
   std::vector<std::uint64_t> recvcounts_, recvdispls_;
   // Wire capacities (bytes, max_compressed_bytes-based; exact when fixed_).
   std::vector<std::uint64_t> send_wire_cap_, recv_wire_cap_;
   // Per-execute actual wire sizes (variable codecs; == cap when fixed_).
-  std::vector<std::uint64_t> send_wire_, recv_wire_;
-  // Capacity-prefix byte offsets into the staging slabs.
-  std::vector<std::uint64_t> stage_off_, rstage_off_;
-  // Two-sided raw: counts/displs rescaled to bytes once.
-  std::vector<std::uint64_t> byte_sc_, byte_sd_, byte_rc_, byte_rd_;
+  std::vector<std::uint64_t> send_wire_;
+  // Capacity-prefix byte offsets into the send staging slab.
+  std::vector<std::uint64_t> stage_off_;
 
   // One-sided state. Codec-mode slot_offset_[i] points at source i's header
   // word; the payload follows at +kHeaderWordBytes (raw mode exposes the
@@ -222,7 +253,6 @@ class ExchangePlan {
   // every round, exactly the old per-call arena footprint); one-sided
   // variable and two-sided = all destinations at capacity offsets.
   std::vector<std::byte> stage_;
-  std::vector<std::byte> rstage_;  // Two-sided unfused receive slab.
 
   // Arrival-skew scratch, pre-sized to p at construction so steady-state
   // stamping allocates nothing: arrival_time_[s] is source s's completion
@@ -259,5 +289,18 @@ class ExchangePlan {
   std::mutex decode_error_mu_;
   std::exception_ptr decode_error_;
 };
+
+/// One exchange through a transient plan: construct (running the setup
+/// collectives a held plan amortizes), execute once, destroy. Counts and
+/// displacements are in doubles. Repeated identical exchanges should hold
+/// an ExchangePlan instead and skip the per-call setup.
+ExchangeStats transient_alltoallv(minimpi::Comm& comm, PlanBackend backend,
+                                  std::span<const double> send,
+                                  std::span<const std::uint64_t> sendcounts,
+                                  std::span<const std::uint64_t> senddispls,
+                                  std::span<double> recv,
+                                  std::span<const std::uint64_t> recvcounts,
+                                  std::span<const std::uint64_t> recvdispls,
+                                  const OscOptions& options);
 
 }  // namespace lossyfft::osc

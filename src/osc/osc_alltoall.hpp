@@ -1,25 +1,21 @@
-// Compressed all-to-all exchanges over real minimpi ranks.
+// Options, statistics and chunking shared by the compressed all-to-all
+// exchanges (osc/exchange_plan.hpp).
 //
-// `osc_alltoallv` is Algorithm 3 of the paper: a node-aware ring of
-// one-sided puts over an exposed window, with per-destination payloads
-// compressed in chunks so compression and transfer pipeline (the CUDA
-// stream + completion-counter construction of Section V-B; here the chunk
-// loop is the pipeline and netsim prices its overlap). Decompression of
-// the whole received window happens after the final fence, exactly as the
-// paper does (the RMA API offers no efficient target-side progress hook).
+// The one-sided backend is Algorithm 3 of the paper: a node-aware ring of
+// puts over an exposed window, with per-destination payloads compressed in
+// chunks so compression and transfer pipeline (the CUDA stream +
+// completion-counter construction of Section V-B; here the chunk loop is
+// the pipeline and netsim prices its overlap). The two-sided backend is the
+// classical pairwise exchange with the same codec and no window.
 //
-// `compressed_alltoallv` is the two-sided ablation: same codec, classical
-// pairwise exchange, no window.
-//
-// Payloads are spans of doubles (complex data is viewed as interleaved
-// re/im); counts and displacements are in double elements.
+// Codecs view payloads as spans of doubles (complex data is interleaved
+// re/im).
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <vector>
 
 #include "compress/codec.hpp"
-#include "minimpi/comm.hpp"
 #include "minimpi/fault.hpp"
 
 namespace lossyfft::osc {
@@ -54,12 +50,6 @@ struct OscOptions {
   /// executed for real instead of modeled. Wire bytes are identical at
   /// every setting.
   int workers = 1;
-  /// Two-sided codec path only: fuse the codec into the transport
-  /// (encode inside isend_produce, decode inside recv_consume — one codec
-  /// pass per direction, no intermediate wire buffers). false restores the
-  /// staged encode+copy+decode baseline for A/B measurement. Received
-  /// values and wire byte counts are identical either way.
-  bool fused = true;
   /// Batch capacity of the plan (>= 1): how many same-layout fields one
   /// execute_batch() may exchange per synchronization epoch. The pinned
   /// receive span at construction holds `batch` consecutive fields; the
@@ -76,7 +66,7 @@ struct OscOptions {
   /// path; recovery is byte-identical to the clean run. Steady-state
   /// execute() stays zero-collective and zero-allocation with parity
   /// enabled (fault handling itself may allocate — faults are
-  /// exceptional). m ∈ [0, coded::kMaxParity]; two-sided requires `fused`.
+  /// exceptional). m ∈ [0, coded::kMaxParity].
   int parity = 0;
   /// Deterministic fault injection (tests / soak): non-owning pointer to a
   /// plan consulted per put (one-sided) or per send (two-sided fused).
@@ -141,28 +131,6 @@ struct ExchangeStats {
                           : 1.0;
   }
 };
-
-/// One-sided ring all-to-all with on-the-fly compression (Algorithm 3).
-/// Per-call convenience over osc::ExchangePlan (exchange_plan.hpp): builds
-/// a transient plan, executes once, tears it down. Repeated identical
-/// exchanges should hold a plan instead and skip the per-call setup.
-ExchangeStats osc_alltoallv(minimpi::Comm& comm, std::span<const double> send,
-                            std::span<const std::uint64_t> sendcounts,
-                            std::span<const std::uint64_t> senddispls,
-                            std::span<double> recv,
-                            std::span<const std::uint64_t> recvcounts,
-                            std::span<const std::uint64_t> recvdispls,
-                            const OscOptions& options);
-
-/// Two-sided pairwise all-to-all with the same codec (ablation baseline).
-ExchangeStats compressed_alltoallv(minimpi::Comm& comm,
-                                   std::span<const double> send,
-                                   std::span<const std::uint64_t> sendcounts,
-                                   std::span<const std::uint64_t> senddispls,
-                                   std::span<double> recv,
-                                   std::span<const std::uint64_t> recvcounts,
-                                   std::span<const std::uint64_t> recvdispls,
-                                   const OscOptions& options);
 
 /// Deterministic pipeline chunk partition of `count` elements into at most
 /// `chunks` pieces (each a multiple of 4 except the last, so block codecs

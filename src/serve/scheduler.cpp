@@ -29,7 +29,8 @@ std::string Scheduler::admit(const SessionConfig& cfg) const {
       return "e_tol below the daemon's accuracy floor";
     }
   }
-  if (cfg.backend > static_cast<std::uint8_t>(ExchangeBackend::kOsc)) {
+  if (cfg.backend != static_cast<std::uint8_t>(ExchangeBackend::kPairwise) &&
+      cfg.backend != static_cast<std::uint8_t>(ExchangeBackend::kOsc)) {
     return "unknown exchange backend";
   }
   if (cfg.sync > 1) return "unknown one-sided sync mode";

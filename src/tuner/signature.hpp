@@ -40,7 +40,8 @@ enum class TunePath : int {
   kOneSidedFence = 0,
   kOneSidedPscw = 1,
   kTwoSidedFused = 2,
-  kTwoSidedStaged = 3,
+  // 3 was the staged two-sided codec baseline (now bench-local); cache
+  // rows naming it are skipped.
 };
 
 const char* to_string(TunePath p);
@@ -71,7 +72,6 @@ struct TuneDecision {
     return path == TunePath::kOneSidedPscw ? osc::OscSync::kPscw
                                            : osc::OscSync::kFence;
   }
-  bool fused() const { return path != TunePath::kTwoSidedStaged; }
 };
 
 }  // namespace lossyfft::tuner

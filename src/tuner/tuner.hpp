@@ -80,8 +80,10 @@ class Tuner {
   /// before the scan-then-fill zfpx decoder and the avx512 kernel tier:
   /// decode throughput moved enough to flip path decisions even for rows
   /// keyed under an unchanged level name. Version 5 added the coded
-  /// exchange's parity token to exchange rows.
-  static constexpr int kCacheVersion = 5;
+  /// exchange's parity token to exchange rows. Version 6 retired path 3
+  /// (the staged two-sided codec baseline), so rows naming it are
+  /// recomputed.
+  static constexpr int kCacheVersion = 6;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

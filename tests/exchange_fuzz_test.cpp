@@ -1,9 +1,9 @@
 // Randomized exchange conformance suite: every transport path must produce
 // byte-identical receive buffers for the same layout and codec. The serial
-// two-sided staged plan is the reference; the fused two-sided, one-sided
-// fence, one-sided PSCW (inline and pool-pipelined decode) plans must match
-// it bit for bit — lossy codecs included, since lossiness is decided at
-// encode time and every path ships the same encoded stream.
+// fused two-sided plan is the reference; the one-sided fence and one-sided
+// PSCW (inline and pool-pipelined decode) plans must match it bit for bit
+// — lossy codecs included, since lossiness is decided at encode time and
+// every path ships the same encoded stream.
 //
 // Layouts are drawn from common/rng seeded by LOSSYFFT_FUZZ_SEED (decimal;
 // default fixed so `ctest -L fuzz` is reproducible in tier-1, overridable
@@ -115,17 +115,15 @@ struct PathSpec {
   const char* name;
   PlanBackend backend;
   OscSync sync;
-  bool fused;
   int workers;
 };
 
 // The conformance matrix: reference first.
 constexpr PathSpec kPaths[] = {
-    {"twosided-staged", PlanBackend::kTwoSided, OscSync::kFence, false, 1},
-    {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, true, 1},
-    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, false, 1},
-    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, false, 1},
-    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, false, 2},
+    {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, 1},
+    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, 1},
+    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, 1},
+    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, 2},
 };
 
 struct CodecCase {
@@ -148,7 +146,7 @@ std::vector<CodecCase> codec_cases(Xoshiro256& rng) {
 }
 
 // Run one (layout, codec) configuration through every path twice (plan
-// reuse) and demand bitwise identity against the staged reference.
+// reuse) and demand bitwise identity against the two-sided reference.
 void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                        int gpn, const CodecCase& cc) {
   const int p = comm.size();
@@ -163,7 +161,6 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
     auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
     OscOptions o = base;
     o.sync = ps.sync;
-    o.fused = ps.fused;
     o.workers = ps.workers;
     ExchangePlan plan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
@@ -171,7 +168,7 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
       std::fill(l.recv.begin(), l.recv.end(), -999.0);
       plan.execute(l.send, l.recv);
       if (ref_recv.empty()) {
-        ref_recv = l.recv;  // First execute of the staged reference.
+        ref_recv = l.recv;  // First execute of the reference.
         continue;
       }
       // EXPECT (not ASSERT): plans are collective, so every rank must keep
@@ -310,13 +307,6 @@ minimpi::FaultPlan make_fuzz_fault_plan(std::uint64_t seed, int p,
   return fp;
 }
 
-// Coded-capable paths (staged two-sided cannot carry parity frames).
-constexpr PathSpec kCodedPaths[] = {
-    {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, true, 1},
-    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, false, 1},
-    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, false, 1},
-    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, false, 2},
-};
 
 class ExchangeFuzzCoded : public ::testing::TestWithParam<int> {};
 
@@ -358,10 +348,9 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
           }
         }
       };
-      for (const PathSpec& ps : kCodedPaths) {
+      for (const PathSpec& ps : kPaths) {
         OscOptions o = base;
         o.sync = ps.sync;
-        o.fused = ps.fused;
         o.workers = ps.workers;
         o.parity = 2;
         {

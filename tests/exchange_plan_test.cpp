@@ -12,6 +12,7 @@
 #include <set>
 #include <thread>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "compress/lossless.hpp"
@@ -133,9 +134,9 @@ TEST(PlanReuse, OneSidedByteIdenticalAcrossExecutes) {
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
-    const auto rst =
-        osc_alltoallv(comm, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
-                      ref.rd, o);
+    const auto rst = transient_alltoallv(comm, PlanBackend::kOneSided,
+                                         ref.send, ref.sc, ref.sd, ref.recv,
+                                         ref.rc, ref.rd, o);
     ExchangePlan plan(comm, PlanBackend::kOneSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -154,8 +155,9 @@ TEST(PlanReuse, TwoSidedFusedByteIdenticalAcrossExecutes) {
     auto l = make_layout(6, comm.rank());
     OscOptions o;
     o.codec = std::make_shared<BitTrimCodec>(20);
-    const auto rst = compressed_alltoallv(comm, ref.send, ref.sc, ref.sd,
-                                          ref.recv, ref.rc, ref.rd, o);
+    const auto rst = transient_alltoallv(comm, PlanBackend::kTwoSided,
+                                         ref.send, ref.sc, ref.sd, ref.recv,
+                                         ref.rc, ref.rd, o);
     ExchangePlan plan(comm, PlanBackend::kTwoSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -173,9 +175,9 @@ TEST(PlanReuse, VariableCodecPlanMatchesPerCall) {
     auto l = make_layout(5, comm.rank());
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-7);
-    const auto rst =
-        osc_alltoallv(comm, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
-                      ref.rd, o);
+    const auto rst = transient_alltoallv(comm, PlanBackend::kOneSided,
+                                         ref.send, ref.sc, ref.sd, ref.recv,
+                                         ref.rc, ref.rd, o);
     ExchangePlan plan(comm, PlanBackend::kOneSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -312,9 +314,10 @@ TEST(WindowCache, MultipleLivePlansAndOutOfOrderTeardown) {
   });
 }
 
-// --- Fused vs staged: byte identity across the eager/rendezvous crossover --
+// --- Fused two-sided vs one-sided: byte identity across the eager/rendezvous
+// crossover ------------------------------------------------------------------
 
-TEST(FusedRendezvous, MatchesStagedAcrossThresholdsAndCodecs) {
+TEST(FusedRendezvous, MatchesOneSidedAcrossThresholdsAndCodecs) {
   // SIZE_MAX forces every message through the eager (copy-through-envelope)
   // transport, 0 forces rendezvous for every nonempty message, 4096 is the
   // default crossover (this layout straddles it).
@@ -332,21 +335,20 @@ TEST(FusedRendezvous, MatchesStagedAcrossThresholdsAndCodecs) {
         return cs;
       }();
       for (const CodecPtr& codec : codecs) {
-        auto staged = make_layout(5, comm.rank());
+        // The one-sided plan is the reference: the fused two-sided
+        // transport must deliver the same decoded values at every
+        // transport regime.
+        auto ref = make_layout(5, comm.rank());
         auto fused = make_layout(5, comm.rank());
-        OscOptions so;
-        so.codec = codec;
-        so.fused = false;
-        OscOptions fo = so;
-        fo.fused = true;
-        const auto sst =
-            compressed_alltoallv(comm, staged.send, staged.sc, staged.sd,
-                                 staged.recv, staged.rc, staged.rd, so);
-        const auto fst =
-            compressed_alltoallv(comm, fused.send, fused.sc, fused.sd,
-                                 fused.recv, fused.rc, fused.rd, fo);
-        expect_same_recv(staged, fused);
-        EXPECT_EQ(sst.wire_bytes, fst.wire_bytes) << "threshold=" << threshold;
+        OscOptions o;
+        o.codec = codec;
+        transient_alltoallv(comm, PlanBackend::kOneSided, ref.send, ref.sc,
+                            ref.sd, ref.recv, ref.rc, ref.rd, o);
+        const auto fst = transient_alltoallv(
+            comm, PlanBackend::kTwoSided, fused.send, fused.sc, fused.sd,
+            fused.recv, fused.rc, fused.rd, o);
+        expect_same_recv(ref, fused);
+        EXPECT_GT(fst.wire_bytes, 0u) << "threshold=" << threshold;
       }
     });
   }
@@ -941,30 +943,140 @@ TEST(BatchExecute, SyncCostIsPerBatchNotPerField) {
 }
 
 TEST(SteadyState, ReshapeExecuteIsAllocationFree) {
+  // Every Reshape exchanges through its plan: the codec one-sided double
+  // field and the raw one-sided float and complex<double> fields all run
+  // steady-state executes with no window churn and no heap allocation.
   run_ranks(4, [](Comm& comm) {
     const std::array<int, 3> n{12, 10, 8};
     const auto bricks = split_brick(n, proc_grid3(4));
     const auto pencils = split_pencil(n, 0, 4);
-    ReshapeOptions ro;
-    ro.backend = ExchangeBackend::kOsc;
-    ro.codec = std::make_shared<CastFp32Codec>();
-    Reshape<double> shape(comm, bricks, pencils, ro);
-    std::vector<double> in(static_cast<std::size_t>(shape.inbox().count())),
-        out(static_cast<std::size_t>(shape.outbox().count()));
-    Xoshiro256 rng(23 + static_cast<std::uint64_t>(comm.rank()));
-    fill_uniform(rng, in);
-    shape.execute(std::span<const double>(in), std::span<double>(out));
-    comm.barrier();
-    const std::uint64_t w0 = comm.state().window_begin_count();
-    t_allocs = 0;
-    t_count_allocs = true;
-    for (int it = 0; it < 3; ++it) {
-      shape.execute(std::span<const double>(in), std::span<double>(out));
+    const auto check = [&](auto elem, CodecPtr codec) {
+      using E = decltype(elem);
+      ReshapeOptions ro;
+      ro.backend = ExchangeBackend::kOsc;
+      ro.codec = std::move(codec);
+      Reshape<E> shape(comm, bricks, pencils, ro);
+      std::vector<E> in(static_cast<std::size_t>(shape.inbox().count())),
+          out(static_cast<std::size_t>(shape.outbox().count()));
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = E(static_cast<float>(i % 97) + 0.5f * comm.rank());
+      }
+      shape.execute(std::span<const E>(in), std::span<E>(out));
+      comm.barrier();
+      const std::uint64_t w0 = comm.state().window_begin_count();
+      t_allocs = 0;
+      t_count_allocs = true;
+      for (int it = 0; it < 3; ++it) {
+        shape.execute(std::span<const E>(in), std::span<E>(out));
+      }
+      t_count_allocs = false;
+      comm.barrier();
+      EXPECT_EQ(comm.state().window_begin_count(), w0) << sizeof(E);
+      EXPECT_EQ(t_allocs, 0u) << sizeof(E);
+    };
+    check(double{}, std::make_shared<CastFp32Codec>());
+    check(float{}, nullptr);
+    check(std::complex<double>{}, nullptr);
+  });
+}
+
+// --- Element-agnostic core: byte counts of any element size ----------------
+
+TEST(ElementBytes, FloatOddCountsMatchOnBothBackendsBatched) {
+  // 4-byte elements with odd per-destination counts (1, 4, 7, ... floats,
+  // so most messages are not a whole number of doubles), two fields per
+  // batch, on both backends and both one-sided sync modes.
+  constexpr int kFields = 2;
+  run_ranks(5, [](Comm& comm) {
+    const int p = comm.size();
+    const int me = comm.rank();
+    const auto count = [](int s, int d) {
+      return static_cast<std::uint64_t>(2 * s + 3 * d + 1);
+    };
+    const auto value = [](int s, int d, std::uint64_t k, int f) {
+      return static_cast<float>(1000 * s + 100 * d) +
+             static_cast<float>(k) + 0.25f * static_cast<float>(f);
+    };
+    const auto up = static_cast<std::size_t>(p);
+    std::vector<std::uint64_t> sc(up), sd(up), rc(up), rd(up);
+    std::uint64_t st = 0, rt = 0;
+    for (std::size_t r = 0; r < up; ++r) {
+      sc[r] = count(me, static_cast<int>(r));
+      rc[r] = count(static_cast<int>(r), me);
+      sd[r] = st;
+      rd[r] = rt;
+      st += sc[r];
+      rt += rc[r];
     }
-    t_count_allocs = false;
+    std::vector<float> send(kFields * st), recv(kFields * rt);
+    for (int f = 0; f < kFields; ++f) {
+      for (std::size_t d = 0; d < up; ++d) {
+        for (std::uint64_t k = 0; k < sc[d]; ++k) {
+          send[f * st + sd[d] + k] = value(me, static_cast<int>(d), k, f);
+        }
+      }
+    }
+    struct Path {
+      PlanBackend backend;
+      OscSync sync;
+    };
+    for (const Path path : {Path{PlanBackend::kOneSided, OscSync::kFence},
+                            Path{PlanBackend::kOneSided, OscSync::kPscw},
+                            Path{PlanBackend::kTwoSided, OscSync::kFence}}) {
+      OscOptions o;
+      o.batch = kFields;
+      o.gpus_per_node = 2;
+      o.sync = path.sync;
+      ExchangePlan plan(comm, path.backend, sizeof(float), sc, sd, rc, rd,
+                        std::as_writable_bytes(std::span<float>(recv)), o);
+      for (int it = 0; it < 2; ++it) {
+        std::fill(recv.begin(), recv.end(), -1.0f);
+        const auto stats =
+            plan.execute_batch(std::as_bytes(std::span<const float>(send)),
+                               std::as_writable_bytes(std::span<float>(recv)),
+                               kFields);
+        EXPECT_EQ(stats.payload_bytes, kFields * st * sizeof(float));
+        for (int f = 0; f < kFields; ++f) {
+          for (std::size_t s = 0; s < up; ++s) {
+            for (std::uint64_t k = 0; k < rc[s]; ++k) {
+              ASSERT_EQ(recv[f * rt + rd[s] + k],
+                        value(static_cast<int>(s), me, k, f))
+                  << "backend=" << static_cast<int>(path.backend)
+                  << " sync=" << static_cast<int>(path.sync) << " f=" << f
+                  << " src=" << s << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(ElementBytes, CodecAndCodedPlansRejectNonDoubleByteCounts) {
+  // 3 floats (12 bytes) per peer: fine raw, but the codec and the coded
+  // wire frame doubles, so both must fail loudly at construction — before
+  // any collective, on every rank alike.
+  run_ranks(2, [](Comm& comm) {
+    const std::vector<std::uint64_t> counts(2, 3), displs{0, 3};
+    std::vector<float> recv(12);
+    OscOptions codec;
+    codec.codec = std::make_shared<CastFp32Codec>();
+    OscOptions coded;
+    coded.parity = 1;
+    for (const PlanBackend backend :
+         {PlanBackend::kOneSided, PlanBackend::kTwoSided}) {
+      for (const OscOptions& o : {codec, coded}) {
+        const auto bytes = std::as_writable_bytes(std::span<float>(recv));
+        EXPECT_THROW(ExchangePlan(comm, backend, sizeof(float), counts,
+                                  displs, counts, displs, bytes, o),
+                     Error);
+      }
+      // The same layout in whole doubles' worth of bytes is accepted.
+      ExchangePlan ok(comm, backend, 2 * sizeof(float), counts, displs,
+                      counts, displs,
+                      std::as_writable_bytes(std::span<float>(recv)), codec);
+    }
     comm.barrier();
-    EXPECT_EQ(comm.state().window_begin_count(), w0);
-    EXPECT_EQ(t_allocs, 0u);
   });
 }
 

@@ -10,7 +10,7 @@
 #include "compress/zfpx.hpp"
 #include "minimpi/runtime.hpp"
 #include "minimpi/window.hpp"
-#include "osc/osc_alltoall.hpp"
+#include "osc/exchange_plan.hpp"
 #include "osc/schedule.hpp"
 
 namespace lossyfft::osc {
@@ -54,6 +54,13 @@ Layout make_layout(int p, int me, bool uneven) {
     }
   }
   return l;
+}
+
+// One transient exchange of `l` (osc::transient_alltoallv).
+ExchangeStats exchange(Comm& comm, PlanBackend backend, Layout& l,
+                       const OscOptions& o) {
+  return transient_alltoallv(comm, backend, l.send, l.sc, l.sd, l.recv, l.rc,
+                             l.rd, o);
 }
 
 double expected_cell(int s, int me, std::uint64_t k) {
@@ -109,8 +116,7 @@ TEST_P(OscSweep, UncompressedMatchesExactly) {
     o.chunks = c.chunks;
     o.gpus_per_node = c.gpn;
     o.sync = c.sync;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(c.ranks, comm.rank(), l, 0.0);
     EXPECT_EQ(st.wire_bytes, st.payload_bytes);  // Identity codec.
     EXPECT_EQ(st.rounds, ring_rounds(c.ranks, c.gpn));
@@ -142,8 +148,7 @@ TEST(OscAlltoallv, Fp32CodecHalvesWireAndBoundsError) {
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(6, comm.rank(), l, 3e-7);  // Values are O(1).
     EXPECT_NEAR(st.compression_ratio(), 2.0, 1e-9);
   });
@@ -155,8 +160,7 @@ TEST(OscAlltoallv, Fp16CodecQuartersWire) {
     OscOptions o;
     o.codec = std::make_shared<CastFp16Codec>();
     o.chunks = 2;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(6, comm.rank(), l, 2e-3);
     EXPECT_NEAR(st.compression_ratio(), 4.0, 1e-9);
   });
@@ -168,8 +172,7 @@ TEST(OscAlltoallv, BitTrimCodecWorksChunked) {
     OscOptions o;
     o.codec = std::make_shared<BitTrimCodec>(20);  // Rate 2 exactly.
     o.chunks = 8;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(4, comm.rank(), l, std::ldexp(1.0, -20));
     EXPECT_NEAR(st.compression_ratio(), 2.0, 0.05);  // Byte padding slack.
   });
@@ -181,8 +184,7 @@ TEST(OscAlltoallv, VariableRateCodecUsesOneChunkPath) {
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-8);
     o.chunks = 8;  // Must be ignored for variable-rate codecs.
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(4, comm.rank(), l, 1e-8 * (1 + 1e-9));
     EXPECT_EQ(st.chunks_issued, st.messages);
   });
@@ -193,7 +195,7 @@ TEST(OscAlltoallv, LosslessCodecDeliversExactly) {
     auto l = make_layout(4, comm.rank(), false);
     OscOptions o;
     o.codec = std::make_shared<ByteplaneRleCodec>();
-    osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(4, comm.rank(), l, 0.0);
   });
 }
@@ -204,7 +206,7 @@ TEST(OscAlltoallv, ZfpxCodecChunksOnBlockBoundaries) {
     OscOptions o;
     o.codec = std::make_shared<Zfpx1dCodec>(32);
     o.chunks = 4;
-    osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(4, comm.rank(), l, 1e-6);
   });
 }
@@ -226,7 +228,7 @@ TEST(OscAlltoallv, AutoChunksDeliverCorrectly) {
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 0;  // Model-driven per-message chunking.
     const auto st =
-        osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+        exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(6, comm.rank(), l, 3e-7);
     EXPECT_GE(st.chunks_issued, st.messages);
   });
@@ -240,8 +242,8 @@ TEST(OscAlltoallv, PscwSyncMatchesFenceSync) {
     fence.gpus_per_node = 6;
     OscOptions pscw = fence;
     pscw.sync = OscSync::kPscw;
-    osc_alltoallv(comm, a.send, a.sc, a.sd, a.recv, a.rc, a.rd, fence);
-    osc_alltoallv(comm, b.send, b.sc, b.sd, b.recv, b.rc, b.rd, pscw);
+    exchange(comm, PlanBackend::kOneSided, a, fence);
+    exchange(comm, PlanBackend::kOneSided, b, pscw);
     ASSERT_EQ(a.recv.size(), b.recv.size());
     for (std::size_t i = 0; i < a.recv.size(); ++i) {
       EXPECT_EQ(a.recv[i], b.recv[i]) << i;
@@ -257,8 +259,7 @@ TEST(OscAlltoallv, PscwWithCompressionAndUnevenNodes) {
     o.sync = OscSync::kPscw;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = exchange(comm, PlanBackend::kOneSided, l, o);
     expect_delivery(10, comm.rank(), l, 3e-7);
     EXPECT_NEAR(st.compression_ratio(), 2.0, 1e-9);
   });
@@ -336,7 +337,7 @@ TEST(OscAlltoallv, RepeatedExchangesAccumulateStats) {
     for (int it = 0; it < 3; ++it) {
       auto l = make_layout(4, comm.rank(), false);
       const auto st =
-          osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+          exchange(comm, PlanBackend::kOneSided, l, o);
       if (it == 0) {
         wire = st.wire_bytes;
       } else {
@@ -352,8 +353,8 @@ TEST(CompressedAlltoallv, MatchesOscResults) {
     auto b = make_layout(6, comm.rank(), true);
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
-    osc_alltoallv(comm, a.send, a.sc, a.sd, a.recv, a.rc, a.rd, o);
-    compressed_alltoallv(comm, b.send, b.sc, b.sd, b.recv, b.rc, b.rd, o);
+    exchange(comm, PlanBackend::kOneSided, a, o);
+    exchange(comm, PlanBackend::kTwoSided, b, o);
     // Same codec, same payload: identical lossy results.
     ASSERT_EQ(a.recv.size(), b.recv.size());
     for (std::size_t i = 0; i < a.recv.size(); ++i) {
@@ -368,7 +369,7 @@ TEST(CompressedAlltoallv, VariableCodecSizesExchanged) {
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-6);
     const auto st =
-        compressed_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+        exchange(comm, PlanBackend::kTwoSided, l, o);
     expect_delivery(5, comm.rank(), l, 1e-6 * (1 + 1e-9));
     EXPECT_GT(st.compression_ratio(), 1.0);  // Smooth-ish payload shrinks.
   });
@@ -379,7 +380,9 @@ TEST(OscAlltoallv, RejectsWrongArity) {
     std::vector<std::uint64_t> one(1, 0), two(2, 0);
     OscOptions o;
     EXPECT_THROW(
-        osc_alltoallv(comm, {}, one, two, {}, two, two, o), Error);
+        transient_alltoallv(comm, PlanBackend::kOneSided, {}, one, two, {},
+                            two, two, o),
+        Error);
     comm.barrier();
   });
 }

@@ -90,13 +90,12 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, ReshapeSweep,
     ::testing::Values(RCase{{8, 8, 8}, 1, ExchangeBackend::kPairwise},
                       RCase{{8, 8, 8}, 4, ExchangeBackend::kPairwise},
-                      RCase{{8, 8, 8}, 4, ExchangeBackend::kLinear},
                       RCase{{8, 8, 8}, 4, ExchangeBackend::kOsc},
                       RCase{{12, 6, 10}, 6, ExchangeBackend::kPairwise},
                       RCase{{12, 6, 10}, 6, ExchangeBackend::kOsc},
                       RCase{{7, 9, 5}, 5, ExchangeBackend::kPairwise},
                       RCase{{7, 9, 5}, 5, ExchangeBackend::kOsc},
-                      RCase{{16, 16, 16}, 8, ExchangeBackend::kLinear}),
+                      RCase{{16, 16, 16}, 8, ExchangeBackend::kOsc}),
     [](const auto& info) {
       const auto& c = info.param;
       return std::string(to_string(c.backend)) + "_p" +
@@ -171,51 +170,67 @@ TEST(Reshape, FloatFieldsExchangeRaw) {
   });
 }
 
-TEST(Reshape, FusedRawMatchesStagedBytewise) {
-  // The fused raw pairwise path (recv_consume unpacking straight from the
-  // sender's buffer, no recvbuf_) must be byte-identical to the staged
-  // alltoallv baseline at every transport regime: all-eager, the default
-  // crossover, and all-rendezvous (true zero-copy from the peer's staging).
+TEST(Reshape, EveryTransportRegimeDeliversExactly) {
+  // One exchange path at every transport regime: all-eager, the default
+  // crossover, and all-rendezvous (zero-copy from the peer's staging).
+  // complex<double> fields and float fields with odd per-peer counts
+  // (4-byte messages that are not a whole number of doubles) must each
+  // land the exact expected redistribution on both backends.
   const std::size_t thresholds[] = {minimpi::kEagerOnlyThreshold, 4096, 0};
   for (const std::size_t threshold : thresholds) {
     minimpi::MinimpiOptions mo;
     mo.rendezvous_threshold = threshold;
     run_ranks(6, mo, [&](Comm& comm) {
-      const std::array<int, 3> n{12, 10, 6};
+      const std::array<int, 3> n{7, 9, 5};
       const auto bricks = split_brick(n, proc_grid3(6));
       const auto pencils = split_pencil(n, 1, 6);
-      ReshapeOptions fused;  // fused_raw defaults on.
-      ReshapeOptions staged;
-      staged.fused_raw = false;
-      Reshape<std::complex<double>> frs(comm, bricks, pencils, fused);
-      Reshape<std::complex<double>> srs(comm, bricks, pencils, staged);
-      const auto in = fill_box(frs.inbox());
-      const auto out_n = static_cast<std::size_t>(frs.outbox().count());
-      std::vector<std::complex<double>> fout(out_n), sout(out_n);
-      for (int it = 0; it < 2; ++it) {
-        std::fill(fout.begin(), fout.end(), std::complex<double>{-1, -1});
-        std::fill(sout.begin(), sout.end(), std::complex<double>{-2, -2});
-        frs.execute(in, fout);
-        srs.execute(in, sout);
-        for (std::size_t i = 0; i < out_n; ++i) {
-          ASSERT_EQ(fout[i], sout[i])
-              << "threshold=" << threshold << " it=" << it << " i=" << i;
+      bool odd = false;
+      for (const Box3& a : bricks) {
+        for (const Box3& b : pencils) {
+          odd |= Box3::intersect(a, b).count() % 2 == 1;
         }
       }
-      // Float fields ride the same raw path; check the element-size
-      // genericity of the fused unpack as well.
-      Reshape<float> ff(comm, bricks, pencils, fused);
-      Reshape<float> sf(comm, bricks, pencils, staged);
-      std::vector<float> fin(static_cast<std::size_t>(ff.inbox().count()));
-      for (std::size_t i = 0; i < fin.size(); ++i) {
-        fin[i] = static_cast<float>(comm.rank() * 1000 + 7 * i);
-      }
-      const auto fo_n = static_cast<std::size_t>(ff.outbox().count());
-      std::vector<float> ffout(fo_n, -1.f), sfout(fo_n, -2.f);
-      ff.execute(std::span<const float>(fin), std::span<float>(ffout));
-      sf.execute(std::span<const float>(fin), std::span<float>(sfout));
-      for (std::size_t i = 0; i < fo_n; ++i) {
-        ASSERT_EQ(ffout[i], sfout[i]) << "threshold=" << threshold;
+      EXPECT_TRUE(odd) << "the layout must carry odd per-peer counts";
+      const auto fvalue = [](int x, int y, int z) {
+        return static_cast<float>(x + 16 * y + 256 * z);
+      };
+      for (const ExchangeBackend backend :
+           {ExchangeBackend::kPairwise, ExchangeBackend::kOsc}) {
+        SCOPED_TRACE(std::string(to_string(backend)) +
+                     " threshold=" + std::to_string(threshold));
+        ReshapeOptions o;
+        o.backend = backend;
+        o.gpus_per_node = 2;
+        Reshape<std::complex<double>> crs(comm, bricks, pencils, o);
+        Reshape<float> frs(comm, bricks, pencils, o);
+        const auto in = fill_box(crs.inbox());
+        std::vector<std::complex<double>> out(
+            static_cast<std::size_t>(crs.outbox().count()));
+        const Box3& ib = frs.inbox();
+        std::vector<float> fin(static_cast<std::size_t>(ib.count()));
+        std::size_t i = 0;
+        for (int z = ib.lo[2]; z < ib.hi(2); ++z)
+          for (int y = ib.lo[1]; y < ib.hi(1); ++y)
+            for (int x = ib.lo[0]; x < ib.hi(0); ++x) {
+              fin[i++] = fvalue(x, y, z);
+            }
+        std::vector<float> fout(static_cast<std::size_t>(frs.outbox().count()));
+        for (int it = 0; it < 2; ++it) {
+          std::fill(out.begin(), out.end(), std::complex<double>{-1, -1});
+          std::fill(fout.begin(), fout.end(), -1.f);
+          crs.execute(in, out);
+          frs.execute(std::span<const float>(fin), std::span<float>(fout));
+          expect_box(crs.outbox(), out, 0.0);
+          const Box3& ob = frs.outbox();
+          i = 0;
+          for (int z = ob.lo[2]; z < ob.hi(2); ++z)
+            for (int y = ob.lo[1]; y < ob.hi(1); ++y)
+              for (int x = ob.lo[0]; x < ob.hi(0); ++x) {
+                ASSERT_EQ(fout[i], fvalue(x, y, z))
+                    << "it=" << it << " (" << x << "," << y << "," << z << ")";
+                ++i;
+              }
+        }
       }
     });
   }
@@ -226,7 +241,7 @@ TEST(Reshape, PackElisionFiresOnCompatibleGeometryAndMatchesPackedBytewise) {
   // a rank sends spans full x and y of its pencil, so the pack stage is an
   // identity copy and elides — the exchange reads straight out of the
   // field. Results must be bitwise identical to the forced-pack path on
-  // every backend (fused raw, staged raw, one-sided raw, codec).
+  // every backend (pairwise raw, one-sided raw, codec).
   run_ranks(8, [](Comm& comm) {
     const std::array<int, 3> n{8, 8, 8};
     const auto zp = split_pencil(n, 2, std::array<int, 2>{2, 4});
@@ -256,11 +271,8 @@ TEST(Reshape, PackElisionFiresOnCompatibleGeometryAndMatchesPackedBytewise) {
       EXPECT_EQ(er.stats().wire_bytes, pr.stats().wire_bytes);
     };
 
-    ReshapeOptions fused;  // Raw pairwise, fused unpack.
-    check(fused);
-    ReshapeOptions staged;
-    staged.fused_raw = false;
-    check(staged);
+    ReshapeOptions pairwise;  // Raw two-sided plan.
+    check(pairwise);
     ReshapeOptions osc;
     osc.backend = ExchangeBackend::kOsc;
     osc.gpus_per_node = 2;

@@ -196,6 +196,16 @@ TEST(ServeScheduler, UnsatisfiableQosIsRejectedWithReason) {
   bad = ok;
   bad.family = 57;
   EXPECT_FALSE(sched.admit(bad).empty());
+  // Backend bytes 0 (pairwise) and 2 (osc) are the only transports; 1 was
+  // the retired linear baseline.
+  for (const std::uint8_t b : {1, 3}) {
+    bad = ok;
+    bad.backend = b;
+    EXPECT_EQ(sched.admit(bad), "unknown exchange backend") << int(b);
+  }
+  bad = ok;
+  bad.backend = static_cast<std::uint8_t>(ExchangeBackend::kPairwise);
+  EXPECT_TRUE(sched.admit(bad).empty());
 
   SchedulerLimits floor;
   floor.min_e_tol = 1e-6;

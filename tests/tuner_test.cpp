@@ -149,16 +149,12 @@ TEST(TunerStraggler, ParityAxisRequiresAStragglerModel) {
   }
   EXPECT_EQ(decide(sig, plain).parity, 0);
 
-  // With one, every path except the staged baseline (no coded wire
-  // format) is crossed with m in {0, 1, 2}.
+  // With one, every path is crossed with m in {0, 1, 2}.
   const CostConstants k = straggler_constants(0.05, 200e-6);
   bool saw_m1 = false, saw_m2 = false;
   for (const TuneCandidate& c : candidate_space(sig, k)) {
     EXPECT_GE(c.parity, 0);
     EXPECT_LE(c.parity, 2);
-    if (c.path == TunePath::kTwoSidedStaged) {
-      EXPECT_EQ(c.parity, 0) << "staged baseline must stay uncoded";
-    }
     saw_m1 |= c.parity == 1;
     saw_m2 |= c.parity == 2;
   }
@@ -361,15 +357,14 @@ TEST(TunerCache, StaleVersionFileIsIgnoredWholesale) {
   const TuneDecision want = clean.decide(sig);
 
   // A stale-version file carrying a poisoned row under this signature's
-  // exact key: workers = 77 on the staged path, which decide() can never
-  // produce for a raw exchange. If the version gate leaked, this row would
-  // be returned verbatim.
+  // exact key: workers = 77 on path 3 (the retired staged two-sided
+  // baseline), which decide() can never produce. If the version gate
+  // leaked, this row would be returned verbatim.
   {
     std::ofstream out(path, std::ios::trunc);
     out << "lossyfft-tune-cache 99\n";
     out << sig.p << " " << sig.gpn << " " << size_class(sig.pair_bytes)
-        << " raw 0 " << static_cast<int>(TunePath::kTwoSidedStaged)
-        << " 77 4096 1e-9\n";
+        << " raw 0 3 77 4096 1e-9\n";
   }
   TunerOptions so;
   so.cache_path = path;
@@ -384,6 +379,39 @@ TEST(TunerCache, StaleVersionFileIsIgnoredWholesale) {
                              std::to_string(Tuner::kCacheVersion) + " " +
                              lossyfft::simd_level_name() + "\n";
   EXPECT_EQ(read_file(path).rfind(header, 0), 0u);
+}
+
+TEST(TunerCache, RetiredPathRowIsSkipped) {
+  // A current-version file whose row names path 3 (the retired staged
+  // two-sided baseline) under this signature's exact key: the row must be
+  // skipped like any corrupt row and the decision recomputed.
+  const std::string path = ::testing::TempDir() + "lossyfft_tune_path3.txt";
+  ExchangeSignature sig;
+  sig.p = 8;
+  sig.gpn = 2;
+  sig.pair_bytes = 64 * 1024;
+  sig.codec = nullptr;
+  TunerOptions co;
+  co.constants = CostConstants{};
+  Tuner clean(std::move(co));
+  const TuneDecision want = clean.decide(sig);
+  {
+    // Row layout: p gpn sc cls rb path workers parity rendezvous seconds.
+    std::ofstream out(path, std::ios::trunc);
+    out << "lossyfft-tune-cache " << Tuner::kCacheVersion << " "
+        << lossyfft::simd_level_name() << "\n";
+    out << sig.p << " " << sig.gpn << " " << size_class(sig.pair_bytes)
+        << " raw 0 3 77 0 4096 1e-9\n";
+  }
+  TunerOptions so;
+  so.cache_path = path;
+  so.constants = CostConstants{};
+  Tuner tuner(std::move(so));
+  const TuneDecision got = tuner.decide(sig);
+  EXPECT_NE(static_cast<int>(got.path), 3);
+  EXPECT_EQ(static_cast<int>(got.path), static_cast<int>(want.path));
+  EXPECT_EQ(got.workers, want.workers);
+  EXPECT_NE(got.workers, 77);
 }
 
 // Regression for the clobbering bug: concurrent tuner instances sharing
