@@ -19,7 +19,9 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
+#include "common/worker_pool.hpp"
 #include "compress/lossless.hpp"
+#include "compress/parallel_codec.hpp"
 #include "compress/szq.hpp"
 #include "compress/truncate.hpp"
 #include "compress/zfpx.hpp"
@@ -226,7 +228,9 @@ int main(int argc, char** argv) {
       CodecPtr codec;           // nullptr = raw bytes.
       bool eager_only = false;  // Force the copy-through-envelope transport.
       osc::OscSync sync = osc::OscSync::kFence;  // One-sided epoch close.
-      int workers = 1;          // >1 enables pool-pipelined target decode.
+      // > 1: the codec runs as a ParallelCodec over this many pool shards
+      // (at the library's bytes-per-shard floor, as Reshape applies it).
+      int shards = 1;
       int parity = 0;           // Coded-exchange parity chunks per group.
       const minimpi::FaultPlan* faults = nullptr;  // Injected stragglers.
     };
@@ -240,15 +244,12 @@ int main(int argc, char** argv) {
         {"fp32 osc", XMode::kOscCall, fp32},
         {"fp32 osc plan", XMode::kOscPlan, fp32},
         {"fp32 osc pscw plan", XMode::kOscPlan, fp32, false, kPscw},
-        {"fp32 osc pscw piped plan", XMode::kOscPlan, fp32, false, kPscw, 4},
         {"fp32 twosided staged", XMode::kTwoStaged, fp32},
         {"fp32 twosided fused", XMode::kTwoCall, fp32},
         {"fp32 twosided plan", XMode::kTwoPlan, fp32},
         {"bittrim20 osc", XMode::kOscCall, trim20},
         {"bittrim20 osc plan", XMode::kOscPlan, trim20},
         {"bittrim20 osc pscw plan", XMode::kOscPlan, trim20, false, kPscw},
-        {"bittrim20 osc pscw piped plan", XMode::kOscPlan, trim20, false,
-         kPscw, 4},
         {"bittrim20 twosided staged", XMode::kTwoStaged, trim20},
         {"bittrim20 twosided fused", XMode::kTwoCall, trim20},
         {"bittrim20 twosided plan", XMode::kTwoPlan, trim20},
@@ -256,11 +257,9 @@ int main(int argc, char** argv) {
         {"szq1e-6 osc pscw plan", XMode::kOscPlan, szq6, false, kPscw},
         // The bit-plane codec rows time the scan-then-fill zfpx decode on
         // the wire it actually rides (target-side decode inside the
-        // one-sided epoch); the piped row adds pool-pipelined decode.
+        // one-sided epoch).
         {"zfpx-acc1e-6 osc plan", XMode::kOscPlan, zacc6},
         {"zfpx-acc1e-6 osc pscw plan", XMode::kOscPlan, zacc6, false, kPscw},
-        {"zfpx-acc1e-6 osc pscw piped plan", XMode::kOscPlan, zacc6, false,
-         kPscw, 4},
     };
     // Coded exchange under injected stragglers: a probabilistic delay plan
     // parks a slice of the one-sided puts past the epoch close. With m = 0
@@ -320,7 +319,7 @@ int main(int argc, char** argv) {
                      : XMode::kTwoPlan;
         c.codec = ac.codec;
         c.sync = d.sync();
-        c.workers = d.workers;
+        c.shards = d.workers;
         xcfgs.push_back(std::move(c));
       }
     }
@@ -343,8 +342,11 @@ int main(int argc, char** argv) {
         }
         osc::OscOptions oo;
         oo.codec = xcfg.codec;
+        if (xcfg.codec && xcfg.shards > 1) {
+          oo.codec = std::make_shared<const ParallelCodec>(
+              xcfg.codec, &WorkerPool::global(), xcfg.shards);
+        }
         oo.sync = xcfg.sync;
-        oo.workers = xcfg.workers;
         oo.parity = xcfg.parity;
         oo.fault_plan = xcfg.faults;
         std::unique_ptr<osc::ExchangePlan> plan;

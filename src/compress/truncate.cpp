@@ -181,16 +181,14 @@ std::size_t CastFp16Codec::compress(std::span<const double> in,
     }
     return in.size() * 2;
   }
-  // Scaled mode: one power-of-two scale per block, stored as float after
-  // the packed halves. The scale maps the block max near 2^14 so values
-  // stay clear of both overflow and the subnormal floor. kBlock <= kLane,
-  // so one lane buffers a whole block.
+  // Scaled mode: one power-of-two scale per block of kBlock values, laid
+  // out block by block as [float scale][m halves]. The scale maps the
+  // block max near 2^14 so values stay clear of both overflow and the
+  // subnormal floor. kBlock <= kLane, so one lane buffers a whole block.
   static_assert(kBlock <= kLane);
-  const std::size_t blocks = (in.size() + kBlock - 1) / kBlock;
-  std::byte* scale_base = out.data() + in.size() * 2;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t m = std::min(in.size(), lo + kBlock) - lo;
+  std::byte* dst = out.data();
+  for (std::size_t lo = 0; lo < in.size(); lo += kBlock) {
+    const std::size_t m = std::min(kBlock, in.size() - lo);
     double maxabs = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
       maxabs = std::max(maxabs, std::fabs(in[lo + j]));
@@ -199,11 +197,12 @@ std::size_t CastFp16Codec::compress(std::span<const double> in,
     if (maxabs > 0.0 && std::isfinite(maxabs)) std::frexp(maxabs, &exp);
     const double scale = std::ldexp(1.0, 14 - exp);  // Block max -> ~2^14.
     const float fscale = static_cast<float>(scale);
-    std::memcpy(scale_base + b * sizeof(float), &fscale, sizeof(float));
+    std::memcpy(dst, &fscale, sizeof(float));
     for (std::size_t j = 0; j < m; ++j) {
       lane[j] = double_to_half(in[lo + j] * scale).bits;
     }
-    std::memcpy(out.data() + lo * 2, lane, m * 2);
+    std::memcpy(dst + sizeof(float), lane, m * 2);
+    dst += sizeof(float) + m * 2;
   }
   return max_compressed_bytes(in.size());
 }
@@ -223,18 +222,17 @@ void CastFp16Codec::decompress(std::span<const std::byte> in,
     }
     return;
   }
-  const std::byte* scale_base = in.data() + out.size() * 2;
-  const std::size_t blocks = (out.size() + kBlock - 1) / kBlock;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t m = std::min(out.size(), lo + kBlock) - lo;
+  const std::byte* src = in.data();
+  for (std::size_t lo = 0; lo < out.size(); lo += kBlock) {
+    const std::size_t m = std::min(kBlock, out.size() - lo);
     float fscale;
-    std::memcpy(&fscale, scale_base + b * sizeof(float), sizeof(float));
+    std::memcpy(&fscale, src, sizeof(float));
     const double inv = 1.0 / static_cast<double>(fscale);
-    std::memcpy(lane, in.data() + lo * 2, m * 2);
+    std::memcpy(lane, src + sizeof(float), m * 2);
     for (std::size_t j = 0; j < m; ++j) {
       out[lo + j] = half_to_double(Half{lane[j]}) * inv;
     }
+    src += sizeof(float) + m * 2;
   }
 }
 

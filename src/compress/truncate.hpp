@@ -49,9 +49,12 @@ class CastFp32Codec final : public Codec {
 
 class CastFp16Codec final : public Codec {
  public:
-  /// With `scaled` set, every block of 256 values is divided by a stored
-  /// power-of-two scale so the block maximum lands inside FP16's range;
-  /// this spends 4 bytes per block to avoid overflow to infinity.
+  /// With `scaled` set, every block of 256 values is multiplied by a
+  /// stored power-of-two scale so the block maximum lands inside FP16's
+  /// range; this spends 4 bytes per block to avoid overflow to infinity.
+  /// The scaled stream is laid out block by block, [float scale][up to 256
+  /// halves] (earlier versions appended all scales after the halves), so
+  /// a prefix of whole blocks is a self-contained stream.
   explicit CastFp16Codec(bool scaled = false) : scaled_(scaled) {}
 
   std::string name() const override {
@@ -64,9 +67,11 @@ class CastFp16Codec final : public Codec {
                   std::span<double> out) const override;
   bool fixed_size() const override { return true; }
   double nominal_rate() const override { return 4.0; }
-  /// Scaled mode interleaves nothing but appends all block scales after
-  /// the halves, so its stream is not a concatenation of sub-streams.
-  std::size_t parallel_granularity() const override { return scaled_ ? 0 : 1; }
+  /// Scaled mode shards at block boundaries: each block carries its own
+  /// scale, so the stream is a concatenation of per-block sub-streams.
+  std::size_t parallel_granularity() const override {
+    return scaled_ ? kBlock : 1;
+  }
 
   static constexpr std::size_t kBlock = 256;
 

@@ -184,16 +184,17 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   osc::OscOptions oo;
   oo.codec = options_.codec;
   if (oo.codec && workers > 1) {
-    // Shardable codecs split each message across the pool; the rest fall
-    // through to serial inside the decorator. Either way the wire bytes
-    // match the serial encoder exactly.
+    // The only way codec work reaches the pool: shardable codecs split
+    // each chunk across it (the plan itself compresses, puts and decodes
+    // in order on this rank thread); the rest fall through to serial
+    // inside the decorator. Either way the wire bytes match the serial
+    // encoder exactly.
     oo.codec = std::make_shared<const ParallelCodec>(
         oo.codec, &WorkerPool::global(), workers);
   }
   oo.chunks = options_.osc_chunks;
   oo.gpus_per_node = options_.gpus_per_node;
   oo.sync = options_.osc_sync;
-  oo.workers = workers;
   oo.batch = options_.batch;
   oo.parity = options_.exchange_parity;
   oo.fault_plan = options_.fault_plan;

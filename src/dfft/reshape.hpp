@@ -67,9 +67,12 @@ struct ReshapeOptions {
   /// identical to the packed path. false forces packing (A/B benches).
   bool pack_elision = true;
   /// Codec/pack worker shards: 1 = serial (default), 0 = the process-wide
-  /// pool's full concurrency, k > 1 = fan out to k shards. Parallelism is
-  /// an execution detail: packed bytes, wire bytes, and results are
-  /// bitwise identical at every setting. The pool itself is created once
+  /// pool's full concurrency, k > 1 = fan out to k shards. Pack and unpack
+  /// shard their sub-volume copies; the codec is wrapped in a
+  /// ParallelCodec that shards each chunk's encode and decode (the
+  /// exchange plan itself stays on the rank thread). Parallelism is an
+  /// execution detail: packed bytes, wire bytes, and results are bitwise
+  /// identical at every setting. The pool itself is created once
   /// per process and sized by LOSSYFFT_WORKERS (default: hardware
   /// concurrency); this knob only says how much of it a reshape uses.
   int workers = 1;

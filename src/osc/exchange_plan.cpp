@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/worker_pool.hpp"
 #include "compress/checksum.hpp"
 #include "compress/truncate.hpp"
 #include "minimpi/alltoall.hpp"
@@ -127,11 +126,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // Arrival-skew scratch (pre-sized: stamping allocates nothing).
   arrival_time_.assign(p, -1.0);
   source_lag_.assign(p, 0.0);
-
-  std::uint64_t payload = 0;
-  for (const std::uint64_t c : sendcounts_) payload += c;
-  workers_ = WorkerPool::effective_shards(
-      options_.workers, static_cast<std::size_t>(payload * unit_));
 
   // Per-message chunk count (fixed codecs): user value, or the Section V-B
   // pipeline model's pick for that message size. Deterministic from counts,
@@ -282,7 +276,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   const int nodes = static_cast<int>(rounds_.size());
   if (options_.sync == OscSync::kPscw) {
     pscw_sources_ = ring_sources(p_, options_.gpus_per_node, comm_.rank());
-    decode_inflight_.reserve(p * static_cast<std::size_t>(batch_));
   }
 
   if (raw_) return;
@@ -302,7 +295,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     // which both sides derive from the same counts.
     round_jobs_.resize(static_cast<std::size_t>(nodes));
     std::uint64_t slab = 0;
-    std::size_t max_jobs = 0;
     for (int j = 0; j < nodes; ++j) {
       auto& jobs = round_jobs_[static_cast<std::size_t>(j)];
       std::uint64_t round_off = 0;
@@ -346,10 +338,8 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
         }
       }
       slab = std::max(slab, round_off);
-      max_jobs = std::max(max_jobs, jobs.size());
     }
     stage_.resize(slab);
-    inflight_.reserve(max_jobs);
   }
 
   // Unpack schedule: fixed codecs always; variable-rate only when coded
@@ -376,8 +366,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   }
 
   if (coded_) {
-    // Pinned reconstruction scratch: disjoint per (source, field), so the
-    // erasure solves of concurrent decodes never coordinate — and steady
+    // Pinned reconstruction scratch, disjoint per (source, field): steady
     // state recovery allocates nothing.
     rec_off_.resize(p);
     std::uint64_t off = 0;
@@ -474,29 +463,20 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
   const std::size_t sstride =
       raw_ || fixed_ ? 0 : stage_.size() / static_cast<std::size_t>(batch_);
   if (!raw_ && !fixed_) {
-    const auto compress_dst = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t f = k / static_cast<std::size_t>(p_);
-        const std::size_t i = k % static_cast<std::size_t>(p_);
-        std::byte* const frame =
-            stage_.data() + f * sstride + stage_off_[i];
-        std::byte* const payload =
-            frame + (coded_ ? minimpi::kHeaderWordBytes : 0);
-        send_wire_[k] = codec_->compress(
-            field_send(f).subspan(senddispls_[i], sendcounts_[i]),
-            std::span<std::byte>(payload, send_wire_cap_[i]));
-        if (coded_) {
-          const std::uint64_t csum = fnv1a64(
-              std::span<const std::byte>(payload, send_wire_[k]));
-          std::memcpy(frame, &csum, sizeof(csum));
-        }
+    for (std::size_t k = 0; k < static_cast<std::size_t>(p_) * nf; ++k) {
+      const std::size_t f = k / static_cast<std::size_t>(p_);
+      const std::size_t i = k % static_cast<std::size_t>(p_);
+      std::byte* const frame = stage_.data() + f * sstride + stage_off_[i];
+      std::byte* const payload =
+          frame + (coded_ ? minimpi::kHeaderWordBytes : 0);
+      send_wire_[k] = codec_->compress(
+          field_send(f).subspan(senddispls_[i], sendcounts_[i]),
+          std::span<std::byte>(payload, send_wire_cap_[i]));
+      if (coded_) {
+        const std::uint64_t csum =
+            fnv1a64(std::span<const std::byte>(payload, send_wire_[k]));
+        std::memcpy(frame, &csum, sizeof(csum));
       }
-    };
-    const std::size_t work = static_cast<std::size_t>(p_) * nf;
-    if (workers_ > 1) {
-      WorkerPool::global().parallel_for(work, 1, compress_dst, workers_);
-    } else {
-      compress_dst(0, work);
     }
   }
 
@@ -513,20 +493,6 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
 
   // --- Ring of puts (Algorithm 3) -----------------------------------------
   const bool pscw = options_.sync == OscSync::kPscw;
-  const bool pipelined = !raw_ && fixed_ && workers_ > 1 &&
-                         WorkerPool::global().workers() > 0;
-  // Target-side pipelined decode (kPscw codec modes): once round j's
-  // exposure epoch closes, each source slot of that round is complete and
-  // its decode+unpack runs while rounds j+1..n are still putting. With
-  // workers the jobs go to the pool (reaped before return); serially they
-  // run inline between rounds — either way ahead of the final
-  // synchronization the fence mode has to wait for. Variable codecs that
-  // shard (parallel_granularity > 0) decode inline instead: a pool task
-  // would run its inner fan-out sequentially (nested-submit guard), while
-  // the rank thread can spread one big slot across the whole pool.
-  const bool decode_async = pscw && !raw_ && workers_ > 1 &&
-                            WorkerPool::global().workers() > 0 &&
-                            (fixed_ || codec_->parallel_granularity() == 0);
   // Coded stage frames put the checksum word ahead of the payload.
   const std::uint64_t job_pay = coded_ ? minimpi::kHeaderWordBytes : 0;
   const auto compress_job = [&](const PlanChunk& job,
@@ -556,20 +522,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
     for (std::size_t f = 0; f < nf; ++f) {
       const std::span<const double> fsend =
           raw_ ? std::span<const double>{} : field_send(f);
-      if (pipelined) {
-        // Hand the whole round to the pool: chunk k+1 compresses while
-        // chunk k is being put — Section V-B's stream overlap executed for
-        // real. Parity jobs stay off the pool: they encode over the
-        // group's staged payloads, serially, after those are reaped.
-        inflight_.clear();
-        for (const PlanChunk& job : *jobs) {
-          if (job.prow >= 0) continue;
-          inflight_.push_back(WorkerPool::global().submit(
-              [&compress_job, &job, fsend] { compress_job(job, fsend); }));
-        }
-      }
       std::size_t next_job = 0;
-      std::size_t next_inflight = 0;
       // Coded: the group's staged payload spans, collected while its data
       // chunks are put, consumed by the parity encodes that follow.
       std::array<std::span<const std::byte>, coded::kMaxDataChunks> gspans;
@@ -635,14 +588,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
         gk = 0;
         while (next_job < jobs->size() && (*jobs)[next_job].peer == dst) {
           const PlanChunk& job = (*jobs)[next_job];
-          if (job.prow < 0) {
-            if (pipelined) {
-              inflight_[next_inflight++].get();  // Rethrows a failed
-                                                 // chunk's error.
-            } else {
-              compress_job(job, fsend);
-            }
-          }
+          if (job.prow < 0) compress_job(job, fsend);
           if (!coded_) {
             win_->put(
                 std::span<const std::byte>(stage_.data() + job.stage_off,
@@ -706,22 +652,14 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
         }
       }
       // Round j's exposure is closed: every (source, field) slot of this
-      // round is complete, so its decode can overlap the remaining rounds'
-      // puts.
+      // round is complete, so its decode+unpack runs here, between rounds,
+      // ahead of the final synchronization the fence mode has to wait for.
       if (!raw_) {
         for (const int src : pscw_sources_[static_cast<std::size_t>(j)]) {
           const auto s = static_cast<std::size_t>(src);
           if (recvcounts_[s] == 0) continue;
           for (std::size_t f = 0; f < nf; ++f) {
-            if (decode_async) {
-              decode_inflight_.push_back(
-                  WorkerPool::global().submit([this, s, seq, f, fr =
-                                                                field_recv(f)] {
-                    decode_source(s, seq, fr, f);
-                  }));
-            } else {
-              decode_source(s, seq, field_recv(f), f);
-            }
+            decode_source(s, seq, field_recv(f), f);
           }
         }
       }
@@ -739,10 +677,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
   }
 
   if (pscw) {
-    // Every source was decoded (or dispatched) as its round completed;
-    // reap the pool jobs before the next epoch may repost their slots.
-    for (auto& f : decode_inflight_) f.get();
-    decode_inflight_.clear();
+    // Every source was decoded as its round completed.
     finish_skew_epoch(stats);
     if (coded_) {
       stats.chunks_reconstructed =
@@ -755,21 +690,11 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
 
   // --- Fence mode: decompress the whole received window -------------------
   // As the paper does, decode starts only after the final synchronization;
-  // sizes come from the slot headers, never from a collective. Work items
-  // cover every (field, source) pair of the batch.
-  const auto unpack_src = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t f = k / static_cast<std::size_t>(p_);
-      const std::size_t s = k % static_cast<std::size_t>(p_);
-      if (recvcounts_[s] == 0) continue;
-      decode_source(s, seq, field_recv(f), f);
+  // sizes come from the slot headers, never from a collective.
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::size_t s = 0; s < static_cast<std::size_t>(p_); ++s) {
+      if (recvcounts_[s] > 0) decode_source(s, seq, field_recv(f), f);
     }
-  };
-  const std::size_t work = static_cast<std::size_t>(p_) * nf;
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(work, 1, unpack_src, workers_);
-  } else {
-    unpack_src(0, work);
   }
   if (coded_) {
     stats.chunks_reconstructed =

@@ -32,16 +32,21 @@
 //    u64 size all-to-all is gone for every codec class);
 //  * it is the per-source completion flag behind target-side pipelined
 //    decode: under kPscw epochs, once round j's exposure closes the
-//    receiver verifies each source slot's header and dispatches that
-//    slot's decode+unpack while later ring rounds are still putting —
-//    overlap the decode-after-final-fence schedule (the paper's, and the
-//    fence mode's) cannot offer.
+//    receiver verifies each source slot's header and decodes+unpacks that
+//    slot before the next round starts — ahead of the decode-after-final-
+//    fence schedule (the paper's, and the fence mode's).
+//
+// Every chunk compresses and puts in order on the calling rank thread: the
+// chunk loop is Algorithm 3's pipeline, and netsim prices the Section V-B
+// compress/transfer overlap (a CUDA stream per chunk on the paper's GPUs).
+// A plan runs no worker-pool jobs of its own. Codec work reaches the pool
+// only through the codec itself: a ParallelCodec-wrapped codec (what
+// Reshape installs for workers > 1) shards each chunk's encode and decode.
 //
 // Steady-state execute() therefore performs no window create/destroy, no
-// offset exchange, no size collectives, and (workers == 1) no heap
+// offset exchange, no size collectives, and (serial codec) no heap
 // allocation for every codec class — asserted by counters in
-// tests/exchange_plan_test.cpp. (With workers > 1 the pipelined compress /
-// decode jobs allocate their task control blocks on submission.)
+// tests/exchange_plan_test.cpp.
 //
 // The two-sided backend runs raw plans through minimpi::alltoallv and
 // fuses the codec into the transport (Comm::isend_produce /
@@ -58,7 +63,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -163,8 +167,7 @@ class ExchangePlan {
     std::uint64_t target_off = 0;
     // Coded mode: parity row index of this job (-1 = data chunk). Parity
     // jobs follow their group's data jobs and encode over the staged
-    // payloads, so they run serially on the rank thread after the group's
-    // compresses are reaped.
+    // payloads, so they run after the group's data chunks are staged.
     int prow = -1;
   };
 
@@ -179,9 +182,8 @@ class ExchangePlan {
 
   /// Decode+unpack source `s`'s slot in field bank `f` into that field's
   /// `recv` span, after verifying the slot header's epoch sequence (the
-  /// put-with-notify flag) matches `seq`. Runs on the rank thread or a
-  /// pool worker; (source, field) pairs touch disjoint window and recv
-  /// regions, so decodes need no coordination.
+  /// put-with-notify flag) matches `seq`. (source, field) pairs touch
+  /// disjoint window, recv and scratch regions.
   void decode_source(std::size_t s, std::uint16_t seq, std::span<double> recv,
                      std::size_t f);
 
@@ -211,7 +213,6 @@ class ExchangePlan {
   int parity_ = 0;      // m parity frames per (source → target) group.
   CodecPtr codec_;
   int p_ = 0;
-  int workers_ = 1;
   int batch_ = 1;  // Field capacity (options.batch).
 
   std::span<std::byte> recv_pinned_;
@@ -246,8 +247,6 @@ class ExchangePlan {
   std::vector<PlanChunk> unpack_jobs_;              // Fixed codec unpacks.
   // Per-source [begin, end) into unpack_jobs_ (fixed codecs).
   std::vector<std::pair<std::size_t, std::size_t>> unpack_range_;
-  std::vector<std::future<void>> inflight_;
-  std::vector<std::future<void>> decode_inflight_;  // PSCW pipelined decode.
 
   // Codec staging: one-sided fixed = largest round's chunk slab (reused
   // every round, exactly the old per-call arena footprint); one-sided
@@ -272,7 +271,7 @@ class ExchangePlan {
   std::vector<std::uint64_t> coded_roff_, coded_poff_, coded_L_;
   // Pinned reconstruction scratch: (source s, field f) owns the disjoint
   // region [rec_off_[s] + f * rec_stride_, + parity_ * coded_L_[s]), so
-  // concurrent decodes never share scratch.
+  // decodes never share scratch.
   std::vector<std::byte> rec_scratch_;
   std::vector<std::uint64_t> rec_off_;
   std::uint64_t rec_stride_ = 0;
@@ -281,9 +280,9 @@ class ExchangePlan {
   // per pairwise partner).
   std::vector<std::byte> pstage_;
   std::uint64_t pstage_stride_ = 0;
-  // Resilience counters for the current execute (decodes may run on pool
-  // workers) and the deferred decode error (first failure wins; the
-  // collective protocol finishes before execute rethrows).
+  // Resilience counters for the current execute and the deferred decode
+  // error (first failure wins; the collective protocol finishes before
+  // execute rethrows).
   std::atomic<std::uint64_t> reconstructed_{0};
   std::atomic<std::uint64_t> straggler_waits_{0};
   std::mutex decode_error_mu_;

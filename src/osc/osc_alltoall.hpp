@@ -4,9 +4,13 @@
 // The one-sided backend is Algorithm 3 of the paper: a node-aware ring of
 // puts over an exposed window, with per-destination payloads compressed in
 // chunks so compression and transfer pipeline (the CUDA stream +
-// completion-counter construction of Section V-B; here the chunk loop is
-// the pipeline and netsim prices its overlap). The two-sided backend is the
-// classical pairwise exchange with the same codec and no window.
+// completion-counter construction of Section V-B; here the chunk loop runs
+// compress-then-put in order on the rank thread and netsim prices the
+// overlap). The two-sided backend is the classical pairwise exchange with
+// the same codec and no window. The options carry no worker count: to
+// spread codec work over the worker pool, wrap the codec in a
+// ParallelCodec (compress/parallel_codec.hpp), which shards every chunk
+// with wire bytes identical to the serial encoder.
 //
 // Codecs view payloads as spans of doubles (complex data is interleaved
 // re/im).
@@ -42,14 +46,6 @@ struct OscOptions {
   /// Ranks per node for the node-aware ring.
   int gpus_per_node = 6;
   OscSync sync = OscSync::kFence;
-  /// Codec/pack worker shards: 1 = serial on the calling rank (the
-  /// paper's single-stream pipeline), 0 = the process pool's full
-  /// concurrency, k > 1 = fan out to k shards. With more than one shard
-  /// the chunk jobs of a round compress concurrently on the worker pool
-  /// while earlier chunks are being put — the overlap of Section V-B
-  /// executed for real instead of modeled. Wire bytes are identical at
-  /// every setting.
-  int workers = 1;
   /// Batch capacity of the plan (>= 1): how many same-layout fields one
   /// execute_batch() may exchange per synchronization epoch. The pinned
   /// receive span at construction holds `batch` consecutive fields; the

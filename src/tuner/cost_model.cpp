@@ -143,12 +143,11 @@ double evaluate(const ExchangeSignature& sig, const TuneCandidate& cand,
   if (raw) return net_seconds + sync_extra + parity_extra;
 
   // --- Codec terms: granularity-aware fan-out ---------------------------
-  // A codec whose stream shards (parallel_granularity > 0) spreads one
-  // message across the pool; otherwise workers only help across the p-1
-  // destination messages.
-  const std::size_t g = sig.codec->parallel_granularity();
-  const int cap = g > 0 ? k.pool_concurrency
-                        : std::min(k.pool_concurrency, std::max(1, sig.p - 1));
+  // Workers reach codec work only through ParallelCodec, which spreads
+  // each message of a shardable codec (parallel_granularity > 0) across
+  // the pool and runs every other codec serially.
+  const int cap =
+      sig.codec->parallel_granularity() > 0 ? k.pool_concurrency : 1;
   const double speedup = fan_speedup(cand.workers, cap, k);
   const double in_bytes = codec_input_bytes(sig);
   const double encode = in_bytes / (k.encode_bw * speedup);
@@ -188,15 +187,6 @@ TuneDecision decide(const ExchangeSignature& sig, const CostConstants& k) {
     }
   }
   best.modeled_seconds = best_cost;
-  // Advisory eager/rendezvous crossover: an eager message pays a second
-  // copy (wire/copy_bw), a rendezvous one pays the handshake futex round
-  // trip (the two-sided message overhead). Zero-copy wins above the size
-  // where the copy outweighs the handshake; round to a power of two like
-  // the transport's threshold convention.
-  const double crossover = k.copy_bw * k.net.msg_overhead_two_sided;
-  std::uint64_t thr = 1024;
-  while (static_cast<double>(thr) < crossover && thr < (1u << 20)) thr *= 2;
-  best.rendezvous_threshold = thr;
   return best;
 }
 

@@ -8,9 +8,9 @@
 // builders the plan's executor walks) through netsim::simulate, then
 // adding codec encode/decode terms derived from calibrated host throughput
 // constants. The codec terms are parallel_granularity-aware: a codec that
-// cannot shard one message across workers (granularity 0) only fans out
-// across destinations, and PSCW's target-side pipelined decode hides all
-// but the final round's decode behind the remaining rounds' puts.
+// cannot shard one message across workers (granularity 0) gains nothing
+// from fan-out, and PSCW's target-side pipelined decode hides all but the
+// final round's decode behind the remaining rounds' puts.
 //
 // Everything here is deterministic in (signature, constants): no probing,
 // no clocks, no state — which is what lets ranks agree on a decision by
@@ -60,7 +60,7 @@ struct TuneCandidate {
   int parity = 0;
 };
 
-/// The candidate grid for a signature: all four paths crossed with
+/// The candidate grid for a signature: all three paths crossed with
 /// power-of-two fan-outs up to the pool concurrency (raw exchanges carry
 /// no codec work, so only fan-out 1 is emitted for them). When the
 /// constants carry a straggler model (straggler_prob or rank delays), the
@@ -73,9 +73,7 @@ std::vector<TuneCandidate> candidate_space(const ExchangeSignature& sig,
 double evaluate(const ExchangeSignature& sig, const TuneCandidate& cand,
                 const CostConstants& k);
 
-/// Exhaustive argmin over candidate_space, with the advisory
-/// eager/rendezvous threshold attached (the payload size above which the
-/// modeled zero-copy handshake beats the eager double-copy).
+/// Exhaustive argmin over candidate_space.
 TuneDecision decide(const ExchangeSignature& sig, const CostConstants& k);
 
 /// Cache bucketing: size class = bit width of the per-pair byte count

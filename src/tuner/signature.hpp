@@ -11,7 +11,6 @@
 #include <string>
 
 #include "compress/codec.hpp"
-#include "minimpi/types.hpp"
 #include "osc/exchange_plan.hpp"
 
 namespace lossyfft::tuner {
@@ -34,8 +33,9 @@ struct ExchangeSignature {
   double rate() const { return codec ? codec->nominal_rate() : 1.0; }
 };
 
-/// Transport path of a decision. kOneSidedPscw with workers > 1 is the
-/// PSCW-pipelined configuration (target-side decode overlapping rounds).
+/// Transport path of a decision. kOneSidedPscw decodes each ring round's
+/// sources as soon as that round's exposure closes (target-side decode
+/// overlapping the remaining rounds' puts).
 enum class TunePath : int {
   kOneSidedFence = 0,
   kOneSidedPscw = 1,
@@ -56,11 +56,6 @@ struct TuneDecision {
   /// modeled argmin of parity overhead vs absorbed straggler stalls under
   /// the constants' straggler model (OscOptions::parity downstream).
   int parity = 0;
-  /// Advisory transport threshold: payload size above which the modeled
-  /// zero-copy rendezvous beats the eager double-copy on this host
-  /// (minimpi worlds set MinimpiOptions::rendezvous_threshold at startup,
-  /// so this is reported rather than applied per-plan).
-  std::uint64_t rendezvous_threshold = minimpi::kDefaultRendezvousThreshold;
   double modeled_seconds = 0.0;
 
   osc::PlanBackend plan_backend() const {

@@ -150,7 +150,6 @@ void Tuner::parse_cache(std::istream& in, bool keep_existing) {
     int p = 0, gpn = 0, sc = 0, path = 0, workers = 0, parity = 0;
     long rb = 0;
     std::string cls;
-    std::uint64_t rendezvous = 0;
     double seconds = 0.0;
     try {
       p = std::stoi(tok);
@@ -158,7 +157,7 @@ void Tuner::parse_cache(std::istream& in, bool keep_existing) {
       continue;  // Unknown tag — skip the token and resynchronize.
     }
     if (!(in >> gpn >> sc >> cls >> rb >> path >> workers >> parity >>
-          rendezvous >> seconds)) {
+          seconds)) {
       break;
     }
     if (path < 0 || path > static_cast<int>(TunePath::kTwoSidedFused) ||
@@ -171,7 +170,6 @@ void Tuner::parse_cache(std::istream& in, bool keep_existing) {
     d.path = static_cast<TunePath>(path);
     d.workers = workers;
     d.parity = parity;
-    d.rendezvous_threshold = rendezvous;
     d.modeled_seconds = seconds;
     if (keep_existing) {
       memo_.emplace(os.str(), d);
@@ -205,8 +203,7 @@ void Tuner::store_cache_locked() {
       << simd_level_name() << '\n';
   for (const auto& [k, d] : memo_) {
     out << k << ' ' << static_cast<int>(d.path) << ' ' << d.workers << ' '
-        << d.parity << ' ' << d.rendezvous_threshold << ' '
-        << d.modeled_seconds << '\n';
+        << d.parity << ' ' << d.modeled_seconds << '\n';
   }
   for (const auto& [k, d] : decomp_memo_) {
     out << "d " << k << ' ' << static_cast<int>(d.algorithm) << ' '

@@ -82,8 +82,10 @@ class Tuner {
   /// keyed under an unchanged level name. Version 5 added the coded
   /// exchange's parity token to exchange rows. Version 6 retired path 3
   /// (the staged two-sided codec baseline), so rows naming it are
-  /// recomputed.
-  static constexpr int kCacheVersion = 6;
+  /// recomputed. Version 7 dropped the advisory rendezvous-threshold token
+  /// from exchange rows and re-priced codec fan-out (workers reach codec
+  /// work only through ParallelCodec's per-message shards).
+  static constexpr int kCacheVersion = 7;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

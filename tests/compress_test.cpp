@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -101,6 +102,64 @@ TEST(CastFp16Codec, ScaledModeSurvivesLargeMagnitudes) {
   }
   const auto out = roundtrip(scaled, in);
   EXPECT_LE(max_rel_err(out, in), 2e-3);  // FP16 roundoff survives scaling.
+}
+
+TEST(CastFp16Codec, ScaledStreamShardsAtBlockBoundaries) {
+  // The scaled stream is laid out block by block, [float scale][halves],
+  // so ParallelCodec can cut it at kBlock multiples. Blocks alternate
+  // between |v| ~ 1e12 (far past FP16's 65504) and |v| ~ 1e-3: each block
+  // carries its own scale, and every shard must reproduce the serial
+  // bytes and decode.
+  constexpr std::size_t kB = CastFp16Codec::kBlock;
+  const auto codec = std::make_shared<CastFp16Codec>(/*scaled=*/true);
+  WorkerPool pool(3);
+  for (const std::size_t n : {std::size_t{1}, kB - 1, kB, kB + 1,
+                              16 * kB + 1}) {
+    auto in = uniform_data(n, 90 + n);
+    for (std::size_t i = 0; i < n; ++i) in[i] *= (i / kB) % 2 ? 1e-3 : 1e12;
+    std::vector<std::byte> serial(codec->max_compressed_bytes(n));
+    ASSERT_EQ(codec->compress(in, serial), serial.size()) << n;
+
+    // Layout: block b's scale word sits at b * (4 + 2 * kB) and is the
+    // power of two that maps the block max near 2^14.
+    for (std::size_t lo = 0; lo < n; lo += kB) {
+      double maxabs = 0.0;
+      for (std::size_t j = lo; j < std::min(n, lo + kB); ++j) {
+        maxabs = std::max(maxabs, std::fabs(in[j]));
+      }
+      int exp = 0;
+      std::frexp(maxabs, &exp);
+      float scale = 0.0f;
+      std::memcpy(&scale, serial.data() + lo / kB * (sizeof(float) + 2 * kB),
+                  sizeof(float));
+      EXPECT_EQ(scale, static_cast<float>(std::ldexp(1.0, 14 - exp)))
+          << "n=" << n << " block=" << lo / kB;
+    }
+
+    std::vector<double> whole(n);
+    codec->decompress(serial, whole);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(std::isfinite(whole[i])) << "n=" << n << " i=" << i;
+      EXPECT_LE(std::fabs(whole[i] - in[i]),
+                ((i / kB) % 2 ? 1e-3 : 1e12) * std::ldexp(1.0, -10))
+          << "n=" << n << " i=" << i;
+    }
+
+    for (const int shards : {2, 3, 7}) {
+      ASSERT_GT(WorkerPool::effective_shards(shards, n * sizeof(double), 1),
+                1);
+      ParallelCodec pc(codec, &pool, shards, /*min_shard_bytes=*/1);
+      std::vector<std::byte> fanned(serial.size(), std::byte{0x5C});
+      ASSERT_EQ(pc.compress(in, fanned), serial.size());
+      EXPECT_EQ(std::memcmp(fanned.data(), serial.data(), serial.size()), 0)
+          << "n=" << n << " shards=" << shards;
+      std::vector<double> sharded(n, -1.0);
+      pc.decompress(serial, sharded);
+      EXPECT_EQ(std::memcmp(sharded.data(), whole.data(), n * sizeof(double)),
+                0)
+          << "n=" << n << " shards=" << shards;
+    }
+  }
 }
 
 TEST(CastBf16Codec, KeepsRangeLosesPrecision) {
@@ -653,6 +712,7 @@ std::vector<std::shared_ptr<const Codec>> shardable_codecs() {
           std::make_shared<CastFp32Codec>(),
           std::make_shared<CastBf16Codec>(),
           std::make_shared<CastFp16Codec>(/*scaled=*/false),
+          std::make_shared<CastFp16Codec>(/*scaled=*/true),
           std::make_shared<BitTrimCodec>(20),
           std::make_shared<BitTrimCodec>(9),
           std::make_shared<Zfpx1dCodec>(20)};
@@ -663,10 +723,10 @@ TEST(ParallelGranularity, DeclaredOnlyWhereShardingIsSound) {
     EXPECT_GT(c->parallel_granularity(), 0u) << c->name();
     EXPECT_TRUE(c->fixed_size()) << c->name();
   }
-  // Scaled FP16 appends all block scales after all halves; checksum frames
-  // the whole message. Neither can be cut-and-concatenated, and they must
-  // say so.
-  EXPECT_EQ(CastFp16Codec(/*scaled=*/true).parallel_granularity(), 0u);
+  // Scaled FP16 shards at its scale blocks. A checksum frames the whole
+  // message, so it cannot be cut-and-concatenated and must say so.
+  EXPECT_EQ(CastFp16Codec(/*scaled=*/true).parallel_granularity(),
+            CastFp16Codec::kBlock);
   EXPECT_EQ(
       ChecksumCodec(std::make_shared<IdentityCodec>()).parallel_granularity(),
       0u);

@@ -1,9 +1,10 @@
 // Randomized exchange conformance suite: every transport path must produce
 // byte-identical receive buffers for the same layout and codec. The serial
 // fused two-sided plan is the reference; the one-sided fence and one-sided
-// PSCW (inline and pool-pipelined decode) plans must match it bit for bit
-// — lossy codecs included, since lossiness is decided at encode time and
-// every path ships the same encoded stream.
+// PSCW plans (serial, and with the codec sharded across the worker pool by
+// ParallelCodec) must match it bit for bit — lossy codecs included, since
+// lossiness is decided at encode time and every path ships the same
+// encoded stream.
 //
 // Layouts are drawn from common/rng seeded by LOSSYFFT_FUZZ_SEED (decimal;
 // default fixed so `ctest -L fuzz` is reproducible in tier-1, overridable
@@ -12,6 +13,7 @@
 // shapes across {2, 3, 4, 8} ranks and all codec classes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -24,7 +26,9 @@
 
 #include "common/cpu_dispatch.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "compress/lossless.hpp"
+#include "compress/parallel_codec.hpp"
 #include "compress/szq.hpp"
 #include "compress/truncate.hpp"
 #include "compress/zfpx.hpp"
@@ -115,7 +119,7 @@ struct PathSpec {
   const char* name;
   PlanBackend backend;
   OscSync sync;
-  int workers;
+  int shards;  // > 1: the codec runs as a ParallelCodec over this many.
 };
 
 // The conformance matrix: reference first.
@@ -145,6 +149,29 @@ std::vector<CodecCase> codec_cases(Xoshiro256& rng) {
   return cs;
 }
 
+// The codec a path runs: the pool row wraps it in a ParallelCodec with a
+// 1-byte shard floor, so even the fuzz's small messages really fan out.
+CodecPtr path_codec(const PathSpec& ps, const CodecPtr& codec) {
+  if (ps.shards <= 1 || !codec) return codec;
+  return std::make_shared<ParallelCodec>(codec, &WorkerPool::global(),
+                                         ps.shards, /*min_shard_bytes=*/1);
+}
+
+// A pool row must resolve to a real fan-out on the layout's largest
+// message (not silently degrade to the serial codec).
+void expect_pool_row_fans_out(const PathSpec& ps,
+                              std::span<const std::uint64_t> sendcounts) {
+  if (ps.shards <= 1) return;
+  std::uint64_t largest = 0;
+  for (const std::uint64_t c : sendcounts) largest = std::max(largest, c);
+  if (largest == 0) return;
+  EXPECT_GT(WorkerPool::effective_shards(
+                ps.shards, static_cast<std::size_t>(largest) * sizeof(double),
+                1),
+            1)
+      << ps.name;
+}
+
 // Run one (layout, codec) configuration through every path twice (plan
 // reuse) and demand bitwise identity against the two-sided reference.
 void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
@@ -161,7 +188,8 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
     auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
     OscOptions o = base;
     o.sync = ps.sync;
-    o.workers = ps.workers;
+    o.codec = path_codec(ps, cc.codec);
+    expect_pool_row_fans_out(ps, l.sc);
     ExchangePlan plan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 2; ++it) {
@@ -351,12 +379,13 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
       for (const PathSpec& ps : kPaths) {
         OscOptions o = base;
         o.sync = ps.sync;
-        o.workers = ps.workers;
+        o.codec = path_codec(ps, cc.codec);
         o.parity = 2;
         {
           // Coded, zero faults: bit-identical, parity on the wire, nothing
           // reconstructed.
           auto l = make_fuzz_layout(seed, p, comm.rank(), false);
+          expect_pool_row_fans_out(ps, l.sc);
           ExchangePlan plan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
                             std::span<double>(l.recv), o);
           std::fill(l.recv.begin(), l.recv.end(), -999.0);

@@ -360,7 +360,7 @@ TEST(SteadyState, OneSidedExecuteIsSetupAndAllocationFree) {
   run_ranks(4, [](Comm& comm) {
     auto raw = make_layout(4, comm.rank());
     auto fix = make_layout(4, comm.rank());
-    OscOptions ro;  // Raw bytes, kFence, workers = 1.
+    OscOptions ro;  // Raw bytes, kFence.
     OscOptions fo;
     fo.codec = std::make_shared<CastFp32Codec>();
     ExchangePlan rplan(comm, PlanBackend::kOneSided, raw.sc, raw.sd, raw.rc,
@@ -475,7 +475,7 @@ TEST(SteadyState, CodedExecuteIsCollectiveAndAllocationFree) {
 }
 
 TEST(SteadyState, PscwPipelinedExecuteIsHandshakeOnlyAndAllocationFree) {
-  // kPscw with workers = 1: per-round inline decode (pipelined against the
+  // kPscw with a serial codec: per-round inline decode (pipelined against the
   // remaining rounds' puts) must stay allocation-free, and the only
   // messages are the zero-byte PSCW handshakes — one post per source plus
   // one complete per target per execute, i.e. 2p sends per rank. Any size
@@ -572,7 +572,7 @@ TEST(PlanLifecycle, InterleavedConstructExecuteDestroyStress) {
   });
 }
 
-// --- PSCW pipelined decode agrees with fence, inline and pooled ------------
+// --- PSCW pipelined decode agrees with fence, serial and sharded ----------
 
 TEST(PscwPipelined, MatchesFenceAcrossCodecClasses) {
   run_ranks(6, [](Comm& comm) {
@@ -583,12 +583,16 @@ TEST(PscwPipelined, MatchesFenceAcrossCodecClasses) {
     codecs.push_back(std::make_shared<SzqCodec>(1e-6));
     codecs.push_back(std::make_shared<ByteplaneRleCodec>());
     for (const CodecPtr& codec : codecs) {
-      for (const int workers : {1, 2}) {
+      for (const int shards : {1, 2}) {
         auto fen = make_layout(6, comm.rank());
         auto pip = make_layout(6, comm.rank());
         OscOptions fo;
         fo.codec = codec;
-        fo.workers = workers;
+        if (codec && shards > 1) {
+          // Every chunk's encode and decode sharded across the pool.
+          fo.codec = std::make_shared<ParallelCodec>(
+              codec, &WorkerPool::global(), shards, /*min_shard_bytes=*/1);
+        }
         fo.gpus_per_node = 2;  // Three-node ring: real multi-round overlap.
         OscOptions po = fo;
         po.sync = OscSync::kPscw;
@@ -604,7 +608,7 @@ TEST(PscwPipelined, MatchesFenceAcrossCodecClasses) {
           const auto fst = fence_plan.execute(fen.send, fen.recv);
           const auto pst = pscw_plan.execute(pip.send, pip.recv);
           expect_same_recv(fen, pip);
-          EXPECT_EQ(fst.wire_bytes, pst.wire_bytes) << "workers=" << workers;
+          EXPECT_EQ(fst.wire_bytes, pst.wire_bytes) << "shards=" << shards;
         }
       }
     }
@@ -738,11 +742,10 @@ class ShardCountingCodec final : public Codec {
 
 TEST(PscwPipelined, LargeVariableSlotDecodesAcrossThePool) {
   run_ranks(2, [](Comm& comm) {
-    // One slot of 5 zfpx-accuracy frame shards per pair. Variable codecs
-    // with a granularity decode inline on the rank thread under kPscw
-    // (decode_async stays off), and the ParallelCodec wrapper must spread
-    // that one big slot across the worker pool as >= 4 concurrent shard
-    // decodes — not run it as a single serial decompress.
+    // One slot of 5 zfpx-accuracy frame shards per pair. Every slot
+    // decodes inline on the rank thread under kPscw, and the ParallelCodec
+    // wrapper must spread that one big slot across the worker pool as >= 4
+    // concurrent shard decodes — not run it as a single serial decompress.
     const std::uint64_t slot = 4 * ZfpxAccuracyCodec::kShardElems +
                                ZfpxAccuracyCodec::kShardElems / 2;
     const int p = comm.size();

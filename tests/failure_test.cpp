@@ -19,7 +19,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "compress/lossless.hpp"
+#include "compress/parallel_codec.hpp"
 #include "compress/szq.hpp"
 #include "compress/truncate.hpp"
 #include "compress/zfpx.hpp"
@@ -232,15 +234,16 @@ struct ResiliencePath {
   const char* name;
   PlanBackend backend;
   OscSync sync;
-  int workers;
+  int shards;  // > 1: the codec runs as a ParallelCodec over this many.
 };
 
-// The transport matrix the tentpole promises: one-sided fence, one-sided
-// PSCW (inline decode), PSCW with pool-pipelined decode, two-sided fused.
+// The transport matrix: one-sided fence, one-sided PSCW (per-round inline
+// decode), PSCW with every chunk's encode and decode sharded across the
+// worker pool by ParallelCodec, two-sided fused.
 constexpr ResiliencePath kResiliencePaths[] = {
     {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, 1},
     {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, 1},
-    {"osc-pscw-piped", PlanBackend::kOneSided, OscSync::kPscw, 2},
+    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, 2},
     {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, 1},
 };
 
@@ -263,13 +266,27 @@ std::vector<ResilienceCodec> resilience_codecs() {
   };
 }
 
+// The pool row wraps the codec in a ParallelCodec with a 1-byte shard
+// floor, so the matrix's small chunks really fan out.
 OscOptions resilience_options(const ResiliencePath& path, const CodecPtr& c) {
   OscOptions o;
   o.codec = c;
+  if (c && path.shards > 1) {
+    o.codec = std::make_shared<ParallelCodec>(c, &WorkerPool::global(),
+                                              path.shards,
+                                              /*min_shard_bytes=*/1);
+  }
   o.chunks = 3;
   o.gpus_per_node = 2;
   o.sync = path.sync;
-  o.workers = path.workers;
+  if (path.shards > 1) {
+    // Even the smallest pipeline chunk (rcount(0, 0) split three ways)
+    // must resolve to a real fan-out.
+    EXPECT_GT(WorkerPool::effective_shards(
+                  path.shards, rcount(0, 0) / 3 * sizeof(double), 1),
+              1)
+        << path.name;
+  }
   return o;
 }
 

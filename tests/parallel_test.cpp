@@ -1,14 +1,16 @@
 // Worker pool, ParallelCodec equivalence, and hot-path allocation tests.
 //
 // The contract under test everywhere: parallelism is an execution detail.
-// Every parallel path (sharded codecs, pack/unpack fan-out, the OSC chunk
-// pipeline) must produce output bitwise identical to its serial twin, at
-// every worker count.
+// Every parallel path (sharded codecs, pack/unpack fan-out, sharded FFT
+// line stages) must produce output bitwise identical to its serial twin,
+// at every worker count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <complex>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -28,6 +30,7 @@
 #include "compress/zfpx.hpp"
 #include "dfft/decomp.hpp"
 #include "dfft/fft3d.hpp"
+#include "dfft/fft3d_r2c.hpp"
 #include "dfft/reshape.hpp"
 #include "minimpi/runtime.hpp"
 
@@ -205,7 +208,8 @@ std::vector<CodecCase> codec_cases() {
       {"fp32", std::make_shared<CastFp32Codec>(), 1},
       {"bf16", std::make_shared<CastBf16Codec>(), 1},
       {"fp16-plain", std::make_shared<CastFp16Codec>(false), 1},
-      {"fp16-scaled", std::make_shared<CastFp16Codec>(true), 0},
+      {"fp16-scaled", std::make_shared<CastFp16Codec>(true),
+       CastFp16Codec::kBlock},
       {"bittrim20", std::make_shared<BitTrimCodec>(20), 8},
       {"bittrim9", std::make_shared<BitTrimCodec>(9), 8},
       {"zfpx20", std::make_shared<Zfpx1dCodec>(20), 4},
@@ -294,12 +298,31 @@ TEST(ReshapeHotPath, RawTwoSidedExecuteAllocatesNothingInSteadyState) {
 
 // ----------------------------------- reshape/OSC: parallel == serial
 
+// workers = 3 must really fan out: the grid is large enough that every
+// nonzero message clears WorkerPool's bytes-per-shard floor at least
+// twice, so pack/unpack shard their copies and, with one chunk per
+// message, ParallelCodec shards every message's encode and decode.
 void expect_parallel_matches_serial(ExchangeBackend backend, CodecPtr codec,
                                     int ranks) {
+  constexpr int kWorkers = 3;
+  const std::array<int, 3> n = {128, 64, 64};
+  const auto bricks = split_brick(n, proc_grid3(ranks));
+  const auto pencils = split_pencil(n, 1, ranks);
+  std::size_t smallest = SIZE_MAX;
+  for (const Box3& from : bricks) {
+    for (const Box3& to : pencils) {
+      const auto count = static_cast<std::size_t>(
+          Box3::intersect(from, to).count());
+      if (count > 0) smallest = std::min(smallest, count);
+    }
+  }
+  ASSERT_GT(WorkerPool::effective_shards(
+                kWorkers, smallest * sizeof(std::complex<double>)),
+            1)
+      << "the smallest message (" << smallest
+      << " elements) would not fan out";
+
   run_ranks(ranks, [&](Comm& comm) {
-    const std::array<int, 3> n = {24, 18, 12};
-    const auto bricks = split_brick(n, proc_grid3(ranks));
-    const auto pencils = split_pencil(n, 1, ranks);
 
     std::vector<std::complex<double>> in;
     {
@@ -317,9 +340,10 @@ void expect_parallel_matches_serial(ExchangeBackend backend, CodecPtr codec,
     serial_o.backend = backend;
     serial_o.codec = codec;
     serial_o.gpus_per_node = 2;
+    serial_o.osc_chunks = 1;  // The codec sees whole messages.
     serial_o.workers = 1;
     ReshapeOptions par_o = serial_o;
-    par_o.workers = 3;
+    par_o.workers = kWorkers;
 
     Reshape<std::complex<double>> serial(comm, bricks, pencils, serial_o);
     Reshape<std::complex<double>> parallel(comm, bricks, pencils, par_o);
@@ -351,8 +375,9 @@ TEST(ReshapeParallel, TwoSidedFp32MatchesSerial) {
 }
 
 TEST(ReshapeParallel, TwoSidedVariableRateMatchesSerial) {
-  // szq cannot shard inside a message, but per-destination fan-out still
-  // applies — and must still match the serial wire exactly.
+  // szq shards each message through its internal frame (directory plus
+  // compacted shard payloads) — and must still match the serial wire
+  // exactly.
   expect_parallel_matches_serial(ExchangeBackend::kPairwise,
                                  std::make_shared<SzqCodec>(1e-9), 4);
 }
@@ -398,6 +423,45 @@ TEST(Fft3dParallel, FftWorkersBitwiseIdenticalToSerial) {
     ASSERT_EQ(std::memcmp(pbwd.data(), sbwd.data(),
                           count * sizeof(std::complex<double>)),
               0);
+  });
+}
+
+TEST(Fft3dParallel, R2cXLineShardsBitwiseIdenticalToSerial) {
+  // 64x64x32 reals on one rank: the x stage's 2048 lines of 64 reals
+  // carry 1 MiB, so fft_workers = 3 shards the r2c/c2r x-lines across the
+  // pool on per-shard workspaces.
+  const std::array<int, 3> n = {64, 64, 32};
+  constexpr int kWorkers = 3;
+  ASSERT_GT(WorkerPool::effective_shards(
+                kWorkers, static_cast<std::size_t>(n[0]) * n[1] * n[2] *
+                              sizeof(double)),
+            1);
+  run_ranks(1, [&](Comm& comm) {
+    Fft3dOptions serial_o;
+    serial_o.fft_workers = 1;
+    Fft3dOptions par_o;
+    par_o.fft_workers = kWorkers;
+    Fft3dR2c<double> serial(comm, n, serial_o);
+    Fft3dR2c<double> parallel(comm, n, par_o);
+
+    std::vector<double> in(serial.real_count());
+    Xoshiro256 rng(654);
+    fill_uniform(rng, in, -1.0, 1.0);
+
+    std::vector<std::complex<double>> sfwd(serial.spectral_count()),
+        pfwd(sfwd.size());
+    serial.forward(in, sfwd);
+    parallel.forward(in, pfwd);
+    ASSERT_EQ(std::memcmp(pfwd.data(), sfwd.data(),
+                          sfwd.size() * sizeof(sfwd[0])),
+              0);
+
+    std::vector<double> sbwd(in.size()), pbwd(in.size());
+    serial.backward(sfwd, sbwd);
+    parallel.backward(pfwd, pbwd);
+    ASSERT_EQ(
+        std::memcmp(pbwd.data(), sbwd.data(), sbwd.size() * sizeof(double)),
+        0);
   });
 }
 

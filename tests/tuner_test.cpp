@@ -279,7 +279,6 @@ TEST(TunerCache, RoundTripReloadsIdenticalDecisionsWithoutProbing) {
     EXPECT_EQ(static_cast<int>(d.path), static_cast<int>(first[i].path)) << i;
     EXPECT_EQ(d.workers, first[i].workers) << i;
     EXPECT_EQ(d.parity, first[i].parity) << i;
-    EXPECT_EQ(d.rendezvous_threshold, first[i].rendezvous_threshold) << i;
     EXPECT_EQ(d.modeled_seconds, first[i].modeled_seconds) << i;
   }
   EXPECT_EQ(read_file(path), written);
@@ -356,15 +355,17 @@ TEST(TunerCache, StaleVersionFileIsIgnoredWholesale) {
   Tuner clean(std::move(co));
   const TuneDecision want = clean.decide(sig);
 
-  // A stale-version file carrying a poisoned row under this signature's
-  // exact key: workers = 77 on path 3 (the retired staged two-sided
-  // baseline), which decide() can never produce. If the version gate
+  // A previous-version file (same SIMD level) carrying a poisoned row
+  // under this signature's exact key, in that version's layout (p gpn sc
+  // cls rb path workers parity rendezvous seconds): workers = 77 on the
+  // PSCW path, which decide() can never produce. If the version gate
   // leaked, this row would be returned verbatim.
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "lossyfft-tune-cache 99\n";
+    out << "lossyfft-tune-cache " << Tuner::kCacheVersion - 1 << " "
+        << lossyfft::simd_level_name() << "\n";
     out << sig.p << " " << sig.gpn << " " << size_class(sig.pair_bytes)
-        << " raw 0 3 77 4096 1e-9\n";
+        << " raw 0 1 77 0 4096 1e-9\n";
   }
   TunerOptions so;
   so.cache_path = path;
@@ -396,12 +397,12 @@ TEST(TunerCache, RetiredPathRowIsSkipped) {
   Tuner clean(std::move(co));
   const TuneDecision want = clean.decide(sig);
   {
-    // Row layout: p gpn sc cls rb path workers parity rendezvous seconds.
+    // Row layout: p gpn sc cls rb path workers parity seconds.
     std::ofstream out(path, std::ios::trunc);
     out << "lossyfft-tune-cache " << Tuner::kCacheVersion << " "
         << lossyfft::simd_level_name() << "\n";
     out << sig.p << " " << sig.gpn << " " << size_class(sig.pair_bytes)
-        << " raw 0 3 77 0 4096 1e-9\n";
+        << " raw 0 3 77 0 1e-9\n";
   }
   TunerOptions so;
   so.cache_path = path;
@@ -462,7 +463,7 @@ TEST(TunerCache, ConcurrentTunersNeitherClobberNorTearTheCache) {
   }
   for (auto& th : threads) th.join();
 
-  // The surviving file: current header, and one complete 10-field row per
+  // The surviving file: current header, and one complete 9-field row per
   // distinct key — 2 per thread plus the shared one. A torn or truncated
   // row would change the line shape; a clobbered store would drop rows.
   std::ifstream in(path);
@@ -476,7 +477,7 @@ TEST(TunerCache, ConcurrentTunersNeitherClobberNorTearTheCache) {
     std::string tok;
     std::size_t n = 0;
     while (fields >> tok) ++n;
-    EXPECT_EQ(n, 10u) << "torn cache row: '" << line << "'";
+    EXPECT_EQ(n, 9u) << "torn cache row: '" << line << "'";
     ++rows;
   }
   EXPECT_EQ(rows, std::size_t(2 * kThreads + 1));
@@ -522,10 +523,10 @@ const std::string& global_cache_path() {
         << lossyfft::simd_level_name() << "\n";
     // Pin: one-sided fence, serial workers, uncoded (the config whose
     // steady-state budgets the counter asserts below encode). Row layout:
-    // p gpn sc cls rb path workers parity rendezvous seconds.
+    // p gpn sc cls rb path workers parity seconds.
     out << "4 6 " << size_class(pair) << " " << fp32.name() << " " << rb
         << " " << static_cast<int>(TunePath::kOneSidedFence)
-        << " 1 0 4096 1e-3\n";
+        << " 1 0 1e-3\n";
     ::setenv("LOSSYFFT_TUNE_CACHE", path.c_str(), 1);
   });
   return path;

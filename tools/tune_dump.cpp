@@ -2,7 +2,7 @@
 //
 // For a sweep of exchange signatures (rank counts x ranks-per-node x
 // per-pair payload sizes x codec classes) this prints the path, fan-out,
-// advisory rendezvous threshold, and modeled seconds the tuner would pick,
+// and modeled seconds the tuner would pick,
 // plus the modeled seconds of every candidate when --verbose is given.
 //
 // By default decisions use the built-in Summit-like model constants, so
@@ -149,9 +149,8 @@ int main(int argc, char** argv) {
       {"rle", std::make_shared<ByteplaneRleCodec>()},
   };
 
-  std::printf("%4s %4s %9s %-8s  %-15s %7s %11s %12s\n", "p", "gpn",
-              "pair_KiB", "codec", "path", "workers", "rendezvous",
-              "modeled_us");
+  std::printf("%4s %4s %9s %-8s  %-15s %7s %12s\n", "p", "gpn", "pair_KiB",
+              "codec", "path", "workers", "modeled_us");
   for (const int p : ps) {
     for (const int gpn : gpns) {
       if (gpn > p) continue;
@@ -163,9 +162,9 @@ int main(int argc, char** argv) {
           sig.pair_bytes = static_cast<std::uint64_t>(kib) * 1024;
           sig.codec = row.codec;
           const TuneDecision d = tuner.decide(sig);
-          std::printf("%4d %4d %9d %-8s  %-15s %7d %11" PRIu64 " %12.2f\n", p,
-                      gpn, kib, row.label, to_string(d.path), d.workers,
-                      d.rendezvous_threshold, d.modeled_seconds * 1e6);
+          std::printf("%4d %4d %9d %-8s  %-15s %7d %12.2f\n", p, gpn, kib,
+                      row.label, to_string(d.path), d.workers,
+                      d.modeled_seconds * 1e6);
           if (verbose) {
             for (const TuneCandidate& c : candidate_space(sig, k)) {
               std::printf("      | %-15s w=%-2d %12.2f us\n",
